@@ -37,16 +37,24 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return x.clone();
+        };
+        let mut h = first.forward(x, train);
+        for layer in layers {
             h = layer.forward(&h, train);
         }
         h
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut g = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return grad.clone();
+        };
+        let mut g = last.backward(grad);
+        for layer in layers {
             g = layer.backward(&g);
         }
         g

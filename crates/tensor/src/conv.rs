@@ -2,7 +2,10 @@
 //!
 //! A convolution over an `N×C×H×W` batch with `K×K` kernels, stride `s` and
 //! padding `p` is computed as a GEMM between the unfolded input patches
-//! (`im2col`) and the flattened weight matrix. `col2im` is the adjoint
+//! and the flattened weight matrix. The layers unfold a whole batch
+//! straight into the GEMM's panel-packed layout
+//! ([`im2col_batch_panels_into`]); the row-major per-image [`im2col`] is
+//! the reference it is tested against. `col2im` is the adjoint
 //! (scatter-add) used in the backward pass.
 
 use crate::matmul::PANEL_WIDTH;
@@ -44,6 +47,13 @@ impl Conv2dGeometry {
     /// Columns of the unfolded patch matrix: `C * K * K`.
     pub fn patch_len(&self) -> usize {
         self.in_channels * self.kernel * self.kernel
+    }
+
+    /// Length of the panel-packed patch matrix of `images` images (see
+    /// [`im2col_batch_panels_into`]): `images·H'·W'` columns rounded up to
+    /// whole [`crate::PANEL_WIDTH`] panels, `C·K·K` taps each.
+    pub fn panels_len(&self, images: usize) -> usize {
+        (images * self.patch_count()).next_multiple_of(PANEL_WIDTH) * self.patch_len()
     }
 
     fn check(&self) {
@@ -105,76 +115,98 @@ pub fn im2col_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     }
 }
 
-/// [`im2col_into`], but writing the patch matrix **transposed and
-/// panel-packed** for [`crate::gemm_prepacked_into`]: logical
-/// element `(patch j, tap p)` lands at `(j / W)·patch_len·W + p·W + (j %
-/// W)` where `W` is [`crate::PANEL_WIDTH`]. This fuses the
-/// unfold with the GEMM's own right-hand-side packing, so the batched
-/// eval convolution path never materialises (then re-reads and re-packs)
-/// an intermediate patch matrix. Requires `patch_count()` to be a whole
-/// number of panels — the caller falls back to the per-image path
-/// otherwise. The buffer (`patch_count() × patch_len()` elements) is
-/// fully overwritten, padding taps included.
-pub fn im2col_panels_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
+/// Floats per panel-chunk of [`im2col_batch_panels_into`]'s parallel
+/// unfold: a shape-only target (never the thread count), large enough to
+/// amortise dispatch, small enough that a training batch splits across
+/// the pool.
+const UNFOLD_CHUNK: usize = 1 << 14;
+
+/// Unfolds a batch of images (rows of `C·H·W`, back to back) into the
+/// **transposed, panel-packed** patch matrix [`crate::gemm_prepacked_into`]
+/// reads as its right-hand side. Patch `j` of image `i` is global column
+/// `c = i·H'·W' + j`, and its tap `p` lands at
+/// `(c / W)·patch_len·W + p·W + (c % W)` where `W` is
+/// [`crate::PANEL_WIDTH`]. Images may straddle panels, so any `H'·W'`
+/// works; columns past the batch in the last panel are zero. This fuses
+/// the unfold with the GEMM's own right-hand-side packing, so the
+/// convolution never materialises (then re-reads and re-packs) an
+/// intermediate patch matrix. The buffer ([`Conv2dGeometry::panels_len`]
+/// of the batch) is fully overwritten, padding taps included. The unfold
+/// runs panel-chunked across the pool; every written value is a pure
+/// function of its `(column, tap)` coordinates, so the bytes do not
+/// depend on the chunking.
+pub fn im2col_batch_panels_into(images: &[f32], geom: &Conv2dGeometry, out: &mut [f32]) {
     geom.check();
+    let ilen = geom.in_channels * geom.height * geom.width;
+    assert_eq!(images.len() % ilen, 0, "image buffer not whole images");
+    let cols = images.len() / ilen * geom.patch_count();
+    let panel = geom.patch_len() * PANEL_WIDTH;
+    assert_eq!(
+        out.len(),
+        geom.panels_len(images.len() / ilen),
+        "panel buffer size"
+    );
+    let per_chunk = (UNFOLD_CHUNK / panel).max(1);
+    crate::par::par_chunks_mut(out, per_chunk * panel, |ci, chunk| {
+        chunk.fill(0.0);
+        let c0 = ci * per_chunk * PANEL_WIDTH;
+        let c1 = (c0 + chunk.len() / geom.patch_len()).min(cols);
+        unfold_columns(images, geom, c0, c1, chunk);
+    });
+}
+
+/// Writes global patch columns `c0..c1` (`c0` on a panel boundary) of the
+/// batch into `out`, whose first panel holds column `c0`. Positions
+/// [`im2col_batch_panels_into`] does not visit keep the caller's zero
+/// fill.
+fn unfold_columns(images: &[f32], geom: &Conv2dGeometry, c0: usize, c1: usize, out: &mut [f32]) {
     let nr = PANEL_WIDTH;
     let (c, h, w) = (geom.in_channels, geom.height, geom.width);
-    assert_eq!(image.len(), c * h * w, "image buffer size mismatch");
+    let ilen = c * h * w;
     let (oh, ow) = (geom.out_height(), geom.out_width());
     let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
-    let plen = geom.patch_len();
-    assert_eq!(oh * ow % nr, 0, "patch count must be whole panels of {nr}");
-    assert_eq!(out.len(), oh * ow * plen, "im2col panel buffer size");
-    out.fill(0.0);
+    let (pc, plen) = (oh * ow, geom.patch_len());
     if s == 1 && ow % nr == 0 {
-        // Panel-outer traversal: each `plen × nr` panel is written start
-        // to finish before the next one is touched, so the (large)
-        // destination streams through cache exactly once while the
-        // (small) source planes stay resident — the tap-outer order
-        // below would re-touch one column of every panel per tap. With
-        // unit stride and panel-aligned rows a panel's `nr` patches
-        // share one output row, and each tap's valid columns clip to a
-        // contiguous span of it. Every written value is the same pure
-        // function of its `(patch, tap)` coordinates as in the general
-        // path.
-        for oy in 0..oh {
-            let row0 = oy * ow;
-            for xb in (0..ow).step_by(nr) {
-                let pbase = ((row0 + xb) / nr) * plen * nr;
-                let panel = &mut out[pbase..pbase + plen * nr];
-                for ch in 0..c {
-                    let plane = &image[ch * h * w..(ch + 1) * h * w];
-                    for ky in 0..k {
-                        let iy = (oy + ky) as isize - p as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue; // padding rows stay at the zero fill
+        // Panel-outer traversal: with unit stride and panel-aligned rows
+        // a panel's `nr` patches share one output row of one image, and
+        // each tap's valid columns clip to a contiguous span of it. Each
+        // `plen × nr` panel is written start to finish before the next
+        // one is touched, so the (large) destination streams through
+        // cache once while the (small) source planes stay resident.
+        for (col, panel) in (c0..c1).step_by(nr).zip(out.chunks_exact_mut(plen * nr)) {
+            let image = &images[(col / pc) * ilen..][..ilen];
+            let (oy, xb) = ((col % pc) / ow, (col % pc) % ow);
+            for ch in 0..c {
+                let plane = &image[ch * h * w..(ch + 1) * h * w];
+                for ky in 0..k {
+                    let iy = (oy + ky) as isize - p as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue; // padding rows stay at the zero fill
+                    }
+                    let src = &plane[iy as usize * w..][..w];
+                    for kx in 0..k {
+                        if kx >= w + p {
+                            continue;
                         }
-                        let src = &plane[iy as usize * w..][..w];
-                        for kx in 0..k {
-                            if kx >= w + p {
-                                continue;
-                            }
-                            let col = (ch * k + ky) * k + kx;
-                            // Valid ox satisfy `0 <= ox + kx - p < w`,
-                            // clipped to this panel's columns.
-                            let a = p.saturating_sub(kx).max(xb);
-                            let b = (w - 1 + p - kx).min(xb + nr - 1);
-                            if a > b {
-                                continue;
-                            }
-                            let take = b + 1 - a;
-                            let dst = &mut panel[col * nr + (a - xb)..][..take];
-                            let s0 = a + kx - p;
-                            if take == PANEL_WIDTH {
-                                // Compile-time width: a single vector
-                                // move instead of a length-dispatched
-                                // memcpy.
-                                let blk: &[f32; PANEL_WIDTH] =
-                                    src[s0..s0 + PANEL_WIDTH].try_into().unwrap();
-                                dst.copy_from_slice(blk);
-                            } else {
-                                dst.copy_from_slice(&src[s0..s0 + take]);
-                            }
+                        let tap = (ch * k + ky) * k + kx;
+                        // Valid ox satisfy `0 <= ox + kx - p < w`,
+                        // clipped to this panel's columns.
+                        let a = p.saturating_sub(kx).max(xb);
+                        let b = (w - 1 + p - kx).min(xb + nr - 1);
+                        if a > b {
+                            continue;
+                        }
+                        let take = b + 1 - a;
+                        let dst = &mut panel[tap * nr + (a - xb)..][..take];
+                        let s0 = a + kx - p;
+                        if take == PANEL_WIDTH {
+                            // Compile-time width: a single vector move
+                            // instead of a length-dispatched memcpy.
+                            let blk: &[f32; PANEL_WIDTH] =
+                                src[s0..s0 + PANEL_WIDTH].try_into().unwrap();
+                            dst.copy_from_slice(blk);
+                        } else {
+                            dst.copy_from_slice(&src[s0..s0 + take]);
                         }
                     }
                 }
@@ -182,41 +214,42 @@ pub fn im2col_panels_into(image: &[f32], geom: &Conv2dGeometry, out: &mut [f32])
         }
         return;
     }
-    // Tap-outer traversal: for one `(channel, ky, kx)` tap the valid
-    // output range along each axis is a precomputable interval, so the
-    // inner loops carry no per-element bounds checks — padding positions
-    // are simply never visited (they stay at the zero fill above). This
-    // is the hot unfold of the batched eval path; the per-patch layout is
-    // identical to the naive traversal because every written value is a
-    // pure function of its `(patch, tap)` coordinates.
-    for ch in 0..c {
-        let plane = &image[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                if kx >= w + p {
-                    continue;
-                }
-                let col = (ch * k + ky) * k + kx;
-                // Valid ox satisfy `0 <= ox*s + kx - p < w`.
-                let lo = (p.saturating_sub(kx)).div_ceil(s);
-                let hi = ((w - 1 + p - kx) / s).min(ow - 1);
-                if lo > hi {
-                    continue;
-                }
-                for oy in 0..oh {
+    // Tap-outer traversal over each image's share of the columns: for one
+    // kernel column `kx` the valid output range is a precomputable
+    // interval, so the inner loops carry no per-element bounds checks —
+    // padding positions are never visited.
+    let mut col = c0;
+    while col < c1 {
+        let (i, j0) = (col / pc, col % pc);
+        let j1 = pc.min(j0 + (c1 - col));
+        let image = &images[i * ilen..][..ilen];
+        // Chunk-local column of this image's patch `j0`.
+        let base = col - c0;
+        for kx in 0..k.min(w + p) {
+            // Valid ox satisfy `0 <= ox*s + kx - p < w`.
+            let lo = p.saturating_sub(kx).div_ceil(s);
+            let hi = ((w - 1 + p - kx) / s).min(ow - 1);
+            for oy in j0 / ow..=(j1 - 1) / ow {
+                let row0 = oy * ow;
+                // Clip to this image's columns `j0..j1` too.
+                let (a, b) = (lo.max(j0.saturating_sub(row0)), hi.min(j1 - 1 - row0));
+                for ky in 0..k {
                     let iy = (oy * s + ky) as isize - p as isize;
-                    if iy < 0 || iy >= h as isize {
+                    if a > b || iy < 0 || iy >= h as isize {
                         continue;
                     }
-                    let src = &plane[iy as usize * w..][..w];
-                    let row0 = oy * ow;
-                    for ox in lo..=hi {
-                        let row = row0 + ox;
-                        out[(row / nr) * plen * nr + col * nr + row % nr] = src[ox * s + kx - p];
+                    for ch in 0..c {
+                        let src = &image[ch * h * w + iy as usize * w..][..w];
+                        let tap = (ch * k + ky) * k + kx;
+                        for ox in a..=b {
+                            let lc = base + row0 + ox - j0;
+                            out[(lc / nr) * plen * nr + tap * nr + lc % nr] = src[ox * s + kx - p];
+                        }
                     }
                 }
             }
         }
+        col += j1 - j0;
     }
 }
 
@@ -579,68 +612,89 @@ mod tests {
         im2col(&[0.0; 4], &geom(1, 2, 2, 5, 1, 0));
     }
 
-    #[test]
-    fn panel_layout_is_a_transposed_packing_of_im2col() {
-        let nr = PANEL_WIDTH;
-        // 4×4 input, 3×3 kernel, pad 1 → 16 patches = 2 panels of 8.
-        let g = geom(2, 4, 4, 3, 1, 1);
-        assert_eq!(g.patch_count() % nr, 0);
-        let img: Vec<f32> = (0..2 * 16).map(|i| (i as f32 * 0.7).sin()).collect();
-        let cols = im2col(&img, &g);
-        let mut panels = vec![9.9f32; g.patch_count() * g.patch_len()];
-        im2col_panels_into(&img, &g, &mut panels);
-        for j in 0..g.patch_count() {
-            for p in 0..g.patch_len() {
-                assert_eq!(
-                    panels[(j / nr) * g.patch_len() * nr + p * nr + (j % nr)],
-                    cols.at(&[j, p]),
-                    "patch {j}, tap {p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn panel_writer_matches_im2col_on_every_code_path() {
-        let nr = PANEL_WIDTH;
-        // Panel-aligned rows (bulk-copy path), narrow rows where one panel
-        // spans several output rows, strides, asymmetric pad/kernel mixes.
-        for g in [
-            geom(1, 8, 8, 3, 1, 1),   // ow = 8: aligned fast path
-            geom(3, 16, 16, 3, 1, 1), // ow = 16: two panels per row
-            geom(2, 16, 16, 3, 2, 1), // stride 2 → ow = 8, strided reads
-            geom(2, 4, 4, 3, 1, 1),   // ow = 4: panels span two rows
-            geom(1, 8, 8, 1, 1, 0),   // 1×1 kernel
-            geom(2, 9, 9, 5, 1, 2),   // big kernel, heavy clipping
-            geom(1, 16, 16, 3, 2, 1), // stride 2 on a wider image
-        ] {
-            if g.patch_count() % nr != 0 {
-                continue;
-            }
-            let len = g.in_channels * g.height * g.width;
-            let img: Vec<f32> = (0..len).map(|i| (i as f32 * 0.31).sin()).collect();
-            let cols = im2col(&img, &g);
-            let mut panels = vec![9.9f32; g.patch_count() * g.patch_len()];
-            im2col_panels_into(&img, &g, &mut panels);
-            for j in 0..g.patch_count() {
-                for p in 0..g.patch_len() {
-                    assert_eq!(
-                        panels[(j / nr) * g.patch_len() * nr + p * nr + (j % nr)],
-                        cols.at(&[j, p]),
-                        "{g:?}: patch {j}, tap {p}"
-                    );
+    /// The batch panel layout built element by element from per-image
+    /// [`im2col`]: column `i·H'W' + j`, zero past the batch.
+    fn panels_from_im2col(images: &[f32], g: &Conv2dGeometry) -> Vec<u32> {
+        let (pc, plen, nr) = (g.patch_count(), g.patch_len(), PANEL_WIDTH);
+        let ilen = g.in_channels * g.height * g.width;
+        let mut want = vec![0.0f32; g.panels_len(images.len() / ilen)];
+        for (i, image) in images.chunks_exact(ilen).enumerate() {
+            let cols = im2col(image, g);
+            for j in 0..pc {
+                let c = i * pc + j;
+                for p in 0..plen {
+                    want[(c / nr) * plen * nr + p * nr + c % nr] = cols.at(&[j, p]);
                 }
             }
         }
+        want.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn test_images(n: usize, g: &Conv2dGeometry) -> Vec<f32> {
+        let len = n * g.in_channels * g.height * g.width;
+        (0..len).map(|i| (i as f32 * 0.31).sin()).collect()
     }
 
     #[test]
-    #[should_panic(expected = "whole panels")]
-    fn panel_writer_rejects_partial_panels() {
-        // 3×3 output → 9 patches: not a whole number of 8-wide panels.
+    fn batch_panel_writer_matches_im2col_on_ragged_layouts() {
+        for (g, batches) in [
+            (geom(1, 8, 8, 3, 1, 1), &[1, 3][..]), // ow = 8: unit-stride fast path
+            (geom(3, 16, 16, 3, 1, 1), &[2]),      // ow = 16: two panels per row
+            (geom(2, 4, 4, 3, 1, 1), &[1, 3]),     // ow = 4: panels span two rows
+            (geom(4, 2, 2, 3, 1, 1), &[1, 2, 3]),  // 4 patches: two images per panel
+            (geom(2, 3, 3, 3, 1, 1), &[1, 3, 5]),  // 9 patches: images straddle panels
+            (geom(2, 4, 4, 3, 2, 1), &[3]),        // stride 2, 2×2 output
+            (geom(2, 16, 16, 3, 2, 1), &[3]),      // stride 2 → ow = 8, strided reads
+            (geom(8, 8, 8, 1, 2, 0), &[1, 3]),     // 1×1 stride-2 projection
+            (geom(1, 8, 8, 1, 1, 0), &[3]),        // 1×1 on the fast path
+            (geom(2, 9, 9, 5, 1, 2), &[3]),        // big kernel, heavy clipping
+            (geom(2, 3, 3, 3, 1, 1), &[200]),      // several chunks, split mid-image
+            (geom(3, 8, 8, 3, 1, 1), &[32]),       // several chunks on the fast path
+        ] {
+            for &n in batches {
+                let images = test_images(n, &g);
+                let mut got = vec![0.0f32; g.panels_len(n)];
+                im2col_batch_panels_into(&images, &g, &mut got);
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, panels_from_im2col(&images, &g), "{g:?} batch {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn odd_batch_leaves_a_zero_padded_tail_panel() {
+        // 3 images × 4 patches = 12 columns: the second panel holds 4
+        // real columns and 4 padding columns, which must read zero.
+        let g = geom(2, 2, 2, 3, 1, 1);
+        assert_eq!(g.panels_len(3), 2 * PANEL_WIDTH * g.patch_len());
+        let images: Vec<f32> = test_images(3, &g).iter().map(|v| v + 2.0).collect();
+        let mut panels = vec![9.9f32; g.panels_len(3)];
+        im2col_batch_panels_into(&images, &g, &mut panels);
+        let tail = &panels[PANEL_WIDTH * g.patch_len()..];
+        for (p, row) in tail.chunks_exact(PANEL_WIDTH).enumerate() {
+            assert!(row[..4].iter().any(|&v| v != 0.0), "tap {p}: real columns");
+            assert_eq!(&row[4..], &[0.0; 4], "tap {p}: padding columns");
+        }
+    }
+
+    #[test]
+    fn batch_panel_writer_overwrites_stale_scratch() {
+        for g in [geom(1, 8, 8, 3, 1, 1), geom(2, 3, 3, 3, 2, 1)] {
+            let images = test_images(3, &g);
+            let mut fresh = vec![0.0f32; g.panels_len(3)];
+            im2col_batch_panels_into(&images, &g, &mut fresh);
+            let mut scratch = vec![9.9f32; fresh.len()];
+            im2col_batch_panels_into(&images, &g, &mut scratch);
+            assert_eq!(scratch, fresh, "{g:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "panel buffer size")]
+    fn batch_panel_writer_rejects_a_short_buffer() {
         let g = geom(1, 3, 3, 3, 1, 1);
         let mut panels = vec![0.0f32; g.patch_count() * g.patch_len()];
-        im2col_panels_into(&[0.0; 9], &g, &mut panels);
+        im2col_batch_panels_into(&[0.0; 9], &g, &mut panels);
     }
 
     #[test]

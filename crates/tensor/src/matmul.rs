@@ -317,6 +317,30 @@ fn tile_kernel_dispatch(
     tile_kernel(apack, packed_b, rows, it, h, k, n, jp0, jp1);
 }
 
+/// `out += Â (m×k) · B̂ (k×n)` with `m = out.len() / n` (callers pass a
+/// zeroed `out`), both operands read through element accessors. B̂ is
+/// packed once and shared by row chunks that fan out across the pool;
+/// chunk boundaries depend only on the shape, so the result is
+/// bit-identical at every thread count.
+fn par_gemm<FA, FB>(a_at: &FA, b_at: FB, out: &mut [f32], k: usize, n: usize)
+where
+    FA: Fn(usize, usize) -> f32 + Sync,
+    FB: Fn(usize, usize) -> f32,
+{
+    let m = out.len() / n.max(1);
+    trace_gemm(m, k, n);
+    if m == 0 || n == 0 {
+        return;
+    }
+    let packed_b = pack_b(b_at, k, n);
+    let pb = &packed_b[..];
+    let chunk = tile_rows_per_chunk(m, k * n);
+    par::par_chunks_mut(out, chunk * n, |ci, rows| {
+        packed_gemm_rows(a_at, pb, rows, ci * chunk, k, n);
+    });
+    scratch::give(packed_b);
+}
+
 impl Tensor {
     /// Matrix product `self (m×k) · other (k×n) -> (m×n)`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
@@ -325,18 +349,9 @@ impl Tensor {
         let (m, k) = (self.dim(0), self.dim(1));
         let (k2, n) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
-        trace_gemm(m, k, n);
+        let (a, b) = (self.data(), other.data());
         let mut out = scratch::take_zeroed(m * n);
-        if m > 0 && n > 0 {
-            let (a, b) = (self.data(), other.data());
-            let packed_b = pack_b(|p, j| b[p * n + j], k, n);
-            let pb = &packed_b[..];
-            let chunk = tile_rows_per_chunk(m, k * n);
-            par::par_chunks_mut(&mut out, chunk * n, |ci, rows| {
-                packed_gemm_rows(&|i, p| a[i * k + p], pb, rows, ci * chunk, k, n);
-            });
-            scratch::give(packed_b);
-        }
+        par_gemm(&|i, p| a[i * k + p], |p, j| b[p * n + j], &mut out, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -348,18 +363,9 @@ impl Tensor {
         let (m, k) = (self.dim(0), self.dim(1));
         let (n, k2) = (other.dim(0), other.dim(1));
         assert_eq!(k, k2, "inner dimension mismatch: {k} vs {k2}");
-        trace_gemm(m, k, n);
+        let (a, b) = (self.data(), other.data());
         let mut out = scratch::take_zeroed(m * n);
-        if m > 0 && n > 0 {
-            let (a, b) = (self.data(), other.data());
-            let packed_b = pack_b(|p, j| b[j * k + p], k, n);
-            let pb = &packed_b[..];
-            let chunk = tile_rows_per_chunk(m, k * n);
-            par::par_chunks_mut(&mut out, chunk * n, |ci, rows| {
-                packed_gemm_rows(&|i, p| a[i * k + p], pb, rows, ci * chunk, k, n);
-            });
-            scratch::give(packed_b);
-        }
+        par_gemm(&|i, p| a[i * k + p], |p, j| b[j * k + p], &mut out, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -371,18 +377,8 @@ impl Tensor {
         let (m, k) = (self.dim(0), self.dim(1));
         let (m2, n) = (other.dim(0), other.dim(1));
         assert_eq!(m, m2, "inner dimension mismatch: {m} vs {m2}");
-        trace_gemm(k, m, n);
         let mut out = scratch::take_zeroed(k * n);
-        if k > 0 && n > 0 {
-            let (a, b) = (self.data(), other.data());
-            let packed_b = pack_b(|i, j| b[i * n + j], m, n);
-            let pb = &packed_b[..];
-            let chunk = tile_rows_per_chunk(k, m * n);
-            par::par_chunks_mut(&mut out, chunk * n, |ci, rows| {
-                packed_gemm_rows(&|r, i| a[i * k + r], pb, rows, ci * chunk, m, n);
-            });
-            scratch::give(packed_b);
-        }
+        gemm_tn_batch_into(self.data(), other.data(), &mut out, 1, m, k, n);
         Tensor::from_vec(out, &[k, n])
     }
 
@@ -401,25 +397,11 @@ impl Tensor {
     }
 }
 
-/// `out = a (m×k) · b (k×n)`, serial, into a caller-owned `m×n` buffer.
-///
-/// Bit-identical to [`Tensor::matmul`]; exists so batch-parallel layers
-/// (one worker per image) can run their per-image GEMMs into reusable
-/// scratch without allocating a `Tensor` per call.
-pub fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    assert_eq!(out.len() % n.max(1), 0, "output not a whole number of rows");
-    assert_eq!(a.len(), (out.len() / n.max(1)) * k, "lhs size mismatch");
-    assert_eq!(b.len(), k * n, "rhs size mismatch");
-    trace_gemm(out.len() / n.max(1), k, n);
-    out.fill(0.0);
-    let packed_b = pack_b(|p, j| b[p * n + j], k, n);
-    packed_gemm_rows(&|i, p| a[i * k + p], &packed_b, out, 0, k, n);
-    scratch::give(packed_b);
-}
-
 /// `out = a (m×k) · bᵀ (n×k)`, serial, into a caller-owned `m×n` buffer.
 ///
-/// Bit-identical to [`Tensor::matmul_nt`]; see [`gemm_into`].
+/// Bit-identical to [`Tensor::matmul_nt`]; exists so a caller can time or
+/// run one serial GEMM into reusable scratch without allocating a
+/// `Tensor` per call.
 pub fn gemm_nt_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     assert_eq!(out.len() % n.max(1), 0, "output not a whole number of rows");
     assert_eq!(a.len(), (out.len() / n.max(1)) * k, "lhs size mismatch");
@@ -469,19 +451,65 @@ pub fn gemm_prepacked_into(a: &[f32], packed_b: &[f32], out: &mut [f32], k: usiz
     });
 }
 
-/// `out = aᵀ (k×m stored m-major) · b (m×n)`, serial, into a caller-owned
-/// `k×n` buffer. `a` is stored row-major as `m×k`.
+/// `out = a (m×k) · Pᵀ` where `P` is the `n × k` block of columns
+/// `col0..col0 + k` of a panel-packed matrix with `n` rows (the layout
+/// [`gemm_prepacked_into`] reads, e.g. written by
+/// [`crate::im2col_batch_panels_into`]), serial, into a caller-owned
+/// `m×n` buffer. The columns may straddle panels.
 ///
-/// Bit-identical to [`Tensor::matmul_tn`]; see [`gemm_into`].
-pub fn gemm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(out.len(), k * n, "output size mismatch");
-    assert_eq!(a.len(), m * k, "lhs size mismatch");
-    assert_eq!(b.len(), m * n, "rhs size mismatch");
-    trace_gemm(k, m, n);
+/// This is the convolution's weight gradient `dW_i = G_i · cols_i` read
+/// straight from the forward pass's cached panels: bit-identical to
+/// [`Tensor::matmul`] against image `i`'s row-major patch matrix, since
+/// the packer sees the same values in the same order either way.
+pub fn gemm_nt_panels_into(
+    a: &[f32],
+    panels: &[f32],
+    col0: usize,
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(out.len() % n.max(1), 0, "output not a whole number of rows");
+    assert_eq!(a.len(), (out.len() / n.max(1)) * k, "lhs size mismatch");
+    assert!(
+        (col0 + k).next_multiple_of(NR) * n <= panels.len(),
+        "columns past the panels"
+    );
+    trace_gemm(out.len() / n.max(1), k, n);
     out.fill(0.0);
-    let packed_b = pack_b(|i, j| b[i * n + j], m, n);
-    packed_gemm_rows(&|r, i| a[i * k + r], &packed_b, out, 0, m, n);
+    let at = |j: usize, p: usize| {
+        let c = col0 + j;
+        panels[(c / NR) * n * NR + p * NR + c % NR]
+    };
+    let packed_b = pack_b(at, k, n);
+    packed_gemm_rows(&|i, p| a[i * k + p], &packed_b, out, 0, k, n);
     scratch::give(packed_b);
+}
+
+/// `out = [a_0ᵀ; a_1ᵀ; …] · b`: `a` holds `batch` row-major `m×k`
+/// matrices back to back, `b` is `m×n`, and `out` stacks the `batch`
+/// products `a_iᵀ (k×m) · b` into `(batch·k) × n`. One wide GEMM packs
+/// `b` once and fans its rows out across the pool.
+///
+/// Every output row is its own accumulation over `m` ascending, so row
+/// block `i` is bit-identical to [`Tensor::matmul_tn`] of `a_i` alone —
+/// this is the convolution's input gradient `dcols = Gᵀ · W` for a whole
+/// batch in one call.
+pub fn gemm_tn_batch_into(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    batch: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(out.len(), batch * k * n, "output size mismatch");
+    assert_eq!(a.len(), batch * m * k, "lhs size mismatch");
+    assert_eq!(b.len(), m * n, "rhs size mismatch");
+    out.fill(0.0);
+    let a_at = |r: usize, i: usize| a[(r / k) * m * k + i * k + r % k];
+    par_gemm(&a_at, |i, j| b[i * n + j], out, m, n);
 }
 
 /// `rows = a[row0.., :] · v` for a chunk of output rows, `MR` rows register
@@ -704,17 +732,50 @@ mod tests {
     #[test]
     fn into_helpers_match_tensor_entry_points() {
         let a = seq(&[5, 7]);
-        let b = seq(&[7, 6]);
         let bt = seq(&[6, 7]);
         let mut out = vec![f32::NAN; 5 * 6];
-        gemm_into(a.data(), b.data(), &mut out, 7, 6);
-        assert_eq!(out, a.matmul(&b).data());
         gemm_nt_into(a.data(), bt.data(), &mut out, 7, 6);
         assert_eq!(out, a.matmul_nt(&bt).data());
-        let c = seq(&[5, 4]);
-        let mut out_tn = vec![f32::NAN; 7 * 4];
-        gemm_tn_into(a.data(), c.data(), &mut out_tn, 5, 7, 4);
-        assert_eq!(out_tn, a.matmul_tn(&c).data());
+        // Panel-packed `b`ᵀ with its columns starting mid-panel, so they
+        // straddle a panel boundary.
+        let col0 = 5;
+        let panels = pack_b(
+            |p, c| {
+                if c >= col0 {
+                    bt.at(&[p, c - col0])
+                } else {
+                    0.0
+                }
+            },
+            6,
+            col0 + 7,
+        );
+        let mut out_p = vec![f32::NAN; 5 * 6];
+        gemm_nt_panels_into(a.data(), &panels, col0, &mut out_p, 7, 6);
+        scratch::give(panels);
+        assert_eq!(out_p, a.matmul_nt(&bt).data());
+    }
+
+    #[test]
+    fn batched_tn_matches_per_matrix_matmul_tn() {
+        // Each stacked block must be bit-identical to its own matmul_tn,
+        // at a batch wide enough to cross the parallel threshold.
+        let (batch, m, k, n) = (40usize, 8usize, 9usize, 72usize);
+        let a = seq(&[batch * m, k]);
+        let b = seq(&[m, n]);
+        let mut out = vec![f32::NAN; batch * k * n];
+        gemm_tn_batch_into(a.data(), b.data(), &mut out, batch, m, k, n);
+        for i in 0..batch {
+            let ai = Tensor::from_vec(a.data()[i * m * k..(i + 1) * m * k].to_vec(), &[m, k]);
+            let want = ai.matmul_tn(&b);
+            let got = &out[i * k * n..(i + 1) * k * n];
+            assert!(
+                got.iter()
+                    .zip(want.data())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "block {i}"
+            );
+        }
     }
 
     #[test]
