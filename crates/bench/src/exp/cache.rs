@@ -786,4 +786,41 @@ mod tests {
         assert!(cache.load_backbone(fp, &cfg, &subset).is_err());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
+
+    /// Golden EOSC bytes of a small untrained pipeline assembled with
+    /// [`ThreePhase::from_parts`] under a fixed fingerprint. The entry
+    /// must load back to the same weights, embeddings and labels.
+    #[test]
+    fn golden_eosc_bytes() {
+        let (train, _, cfg) = tiny_setup();
+        let fp = 0x60_1DE4;
+        let net = ConvNet::new(
+            cfg.arch,
+            train.shape,
+            train.num_classes,
+            &mut Rng64::new(fp),
+        );
+        let fe = eos_tensor::normal(
+            &[train.len(), net.feature_dim()],
+            0.0,
+            1.0,
+            &mut Rng64::new(3),
+        );
+        let mut tp = ThreePhase::from_parts(net, fe, train.y.clone(), train.num_classes);
+        let cache = temp_cache("golden");
+        cache.store_backbone(fp, &mut tp).unwrap();
+        let bytes = std::fs::read(cache.backbone_path(fp)).unwrap();
+        assert_eq!(
+            (bytes.len(), eos_nn::fnv1a(&bytes)),
+            (27488, 0xd782ea76ce301d4a)
+        );
+        let (mut back, _) = cache.load_backbone(fp, &cfg, &train).unwrap().unwrap();
+        assert_eq!(back.train_fe.data(), tp.train_fe.data());
+        assert_eq!(back.train_y, tp.train_y);
+        assert_eq!(
+            save_weights_bytes(&mut back.net),
+            save_weights_bytes(&mut tp.net)
+        );
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
 }

@@ -678,4 +678,30 @@ mod tests {
         }
         assert_eq!(calls, 2, "no journal without a cache");
     }
+
+    /// Pinned fingerprints: they key the on-disk cache and seed every
+    /// cell's RNG stream, so a change here shifts the experiment output.
+    #[test]
+    fn golden_fingerprints() {
+        let (train, _) = prepared_dataset("celeba", Scale::Smoke, 1);
+        let cfg = Scale::Smoke.pipeline();
+        assert_eq!(train.fingerprint(), 0x2bae93b18a595114);
+        assert_eq!(
+            backbone_fingerprint(&train, LossKind::Ce, &cfg, 42),
+            0xa269ab8eabd7dec0
+        );
+        let spec = crate::exp::ExperimentSpec {
+            table: "table2",
+            dataset: "celeba",
+            loss: LossKind::Ldam,
+            sampler: crate::exp::SamplerSpec::eos(10),
+            scale: Scale::Smoke,
+            seed: 42,
+        };
+        assert_eq!(spec.fingerprint(), 0xc6468673ab3ccdfa);
+        assert_eq!(
+            crate::exp::mix_rng(7, &["a", "b"]).next_u64(),
+            0x5e750103d0255d
+        );
+    }
 }

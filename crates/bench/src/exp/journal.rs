@@ -264,4 +264,22 @@ mod tests {
         assert!(dec_f64("not-hex").is_err());
         assert!(dec_f64("0.731").is_err());
     }
+
+    /// Golden EOSJ bytes of [`sample_rows`] plus the pinned cell
+    /// fingerprint they are stored under.
+    #[test]
+    fn golden_eosj_bytes_and_cell_fingerprint() {
+        let fp = cell_fingerprint("table2", "celeba/Ce", "smoke", 42);
+        assert_eq!(fp, 0xdc7e6344314d94);
+        let j = temp_journal("golden");
+        let rows = sample_rows();
+        j.store(fp, &rows).unwrap();
+        let bytes = std::fs::read(j.cell_path(fp)).unwrap();
+        assert_eq!(
+            (bytes.len(), eos_nn::fnv1a(&bytes)),
+            (136, 0xd09c53813b0e6bcb)
+        );
+        assert_eq!(j.load(fp).unwrap().unwrap(), rows);
+        let _ = std::fs::remove_dir_all(j.dir());
+    }
 }

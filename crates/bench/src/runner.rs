@@ -59,4 +59,10 @@ mod tests {
         let names: Vec<&str> = s.iter().map(|x| x.name()).collect();
         assert_eq!(names, vec!["SMOTE", "B-SMOTE", "Bal-SVM"]);
     }
+
+    #[test]
+    fn golden_name_hash() {
+        assert_eq!(name_hash("table2"), 0xe265c8dbf29f8e17);
+        assert_eq!(name_hash(""), 0xcbf29ce484222325);
+    }
 }

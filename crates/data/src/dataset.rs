@@ -236,4 +236,15 @@ mod tests {
         let reordered = d.subset(&[1, 0, 2, 3, 4, 5]);
         assert_ne!(d.fingerprint(), reordered.fingerprint());
     }
+
+    #[test]
+    fn golden_fingerprint() {
+        let mut spec = crate::SynthSpec::celeba_like(1);
+        spec.n_max_train = 30;
+        spec.n_test_per_class = 8;
+        let (train, test) = spec.generate(17);
+        assert_eq!(train.fingerprint(), 0xf2e0426f53c56c9b);
+        assert_eq!(test.fingerprint(), 0x353d5c3b099ba28f);
+        assert_eq!(toy().fingerprint(), 0x83c7235fbf458d4d);
+    }
 }

@@ -786,4 +786,29 @@ mod tests {
         let x = normal(&[2, 3 * 64], 0.0, 1.0, &mut Rng64::new(6));
         assert_eq!(a.forward(&x, false).data(), b.forward(&x, false).data());
     }
+
+    /// Golden EOSW bytes: length and FNV-1a digest of `tiny_net(1)`'s
+    /// blob after one train-mode forward. Any change to the wire format
+    /// moves these, which would orphan every stored artifact.
+    #[test]
+    fn golden_eosw_bytes() {
+        let mut net = tiny_net(1);
+        let x = normal(&[8, 3 * 64], 0.0, 1.0, &mut Rng64::new(0));
+        let _ = net.forward(&x, true);
+        let bytes = save_weights_bytes(&mut net);
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (21504, 0x659b1a756184db8a));
+        let mut back = tiny_net(999);
+        load_weights(&mut back, bytes.as_slice()).unwrap();
+        assert_eq!(save_weights_bytes(&mut back), bytes);
+    }
+
+    /// Golden EOST bytes of [`sample_state`], which must also load back
+    /// to an equal state.
+    #[test]
+    fn golden_eost_bytes() {
+        let state = sample_state();
+        let bytes = save_train_state_bytes(&state);
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (21690, 0xee7dcf24e2d48e81));
+        assert_eq!(load_train_state_bytes(&bytes).unwrap(), state);
+    }
 }

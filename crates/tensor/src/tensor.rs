@@ -597,4 +597,11 @@ mod tests {
             assert!(o.data().iter().all(|&x| x == 1.0));
         }
     }
+
+    #[test]
+    fn golden_bits_digest() {
+        let a = Tensor::from_vec(vec![1.0, -0.0, f32::NAN, 4.5], &[2, 2]);
+        assert_eq!(a.bits_digest(), 0x8393c20bef4501f5);
+        assert_eq!(Tensor::zeros(&[0]).bits_digest(), 0xa8c7f832281a39c5);
+    }
 }
