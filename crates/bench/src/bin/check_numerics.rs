@@ -427,6 +427,8 @@ fn train_digest(threads: usize, force_scalar: bool) -> u64 {
     let loss = CrossEntropyLoss::new();
     let x = normal(&[8, 3 * 64], 0.0, 1.0, &mut Rng64::new(34));
     let y = [0usize, 1, 2, 0, 1, 2, 0, 1];
+    // Folds whole u64 words, not bytes, so this stays apart from
+    // `eos_trace::codec::Fnv`: the golden digest 0xbbfea0249f2c8ea5 depends on it.
     let mut digest = 0xcbf29ce484222325u64;
     let mut fold = |v: u64| {
         digest ^= v;

@@ -2,12 +2,18 @@
 //!
 //! One file per trained backbone under `results/cache/` (override with
 //! `EOS_CACHE_DIR`), named by the backbone fingerprint:
-//! `bb_<fp>.eosc`. Each entry holds the EOSW weight blob of the trained
-//! network plus the extracted train-set embeddings and labels, and ends
-//! with an FNV-1a checksum of everything before it. A truncated,
-//! bit-flipped or structurally impossible entry fails the load with an
-//! `Err` — callers treat that as a miss and retrain, so a corrupt cache
-//! can cost time but never correctness.
+//! `bb_<fp>.eosc`. Each entry is a sealed `EOSC` artifact (layout in
+//! [`eos_trace::codec`]) holding the EOSW weight blob of the trained
+//! network plus the extracted train-set embeddings and labels. Body:
+//!
+//! ```text
+//! u64 fp | u64 num_classes | u64-prefixed EOSW blob | tensor train_fe
+//!   | u64 n | n x u32 label
+//! ```
+//!
+//! A truncated, bit-flipped or structurally impossible entry fails the
+//! load with an `Err` — callers treat that as a miss and retrain, so a
+//! corrupt cache can cost time but never correctness.
 //!
 //! # Cross-worker claims
 //!
@@ -33,12 +39,12 @@
 //! stay (and never count against the cap).
 
 use crate::exp::faults::FaultPlan;
-use crate::exp::spec::Fnv;
 use eos_core::{PipelineConfig, ThreePhase};
 use eos_data::Dataset;
-use eos_nn::{load_weights, read_tensor, save_weights_bytes, write_tensor, ConvNet};
+use eos_nn::{load_weights, put_tensor, save_weights_bytes, take_tensor, ConvNet};
 use eos_tensor::Rng64;
-use std::io::{self, Read};
+use eos_trace::codec::{bad, unseal, Reader, Writer};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -51,10 +57,6 @@ const VERSION: u32 = 1;
 /// abandoned. Heartbeats fire every quarter of this, so a live owner is
 /// never mistaken for a dead one short of a multi-second stall.
 const DEFAULT_STALE_AFTER: Duration = Duration::from_secs(30);
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// The artifact store rooted at one directory.
 pub struct ArtifactCache {
@@ -204,22 +206,16 @@ impl ArtifactCache {
     /// Returns the entry size in bytes.
     pub fn store_backbone(&self, fp: u64, tp: &mut ThreePhase) -> io::Result<u64> {
         self.faults.fire_io("cache.write", &format!("{fp:016x}"))?;
-        let mut payload = Vec::new();
-        payload.extend_from_slice(MAGIC);
-        payload.extend_from_slice(&VERSION.to_le_bytes());
-        payload.extend_from_slice(&fp.to_le_bytes());
-        payload.extend_from_slice(&(tp.num_classes as u64).to_le_bytes());
-        let weights = save_weights_bytes(&mut tp.net);
-        payload.extend_from_slice(&(weights.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&weights);
-        write_tensor(&mut payload, &tp.train_fe)?;
-        payload.extend_from_slice(&(tp.train_y.len() as u64).to_le_bytes());
+        let mut w = Writer::new(MAGIC, VERSION);
+        w.u64(fp)
+            .u64(tp.num_classes as u64)
+            .bytes(&save_weights_bytes(&mut tp.net));
+        put_tensor(&mut w, &tp.train_fe);
+        w.u64(tp.train_y.len() as u64);
         for &label in &tp.train_y {
-            payload.extend_from_slice(&(label as u32).to_le_bytes());
+            w.u32(label as u32);
         }
-        let mut h = Fnv::new();
-        h.bytes(&payload);
-        payload.extend_from_slice(&h.finish().to_le_bytes());
+        let payload = w.seal();
         std::fs::create_dir_all(&self.dir)?;
         eos_trace::write_atomic(&self.backbone_path(fp), &payload)?;
         Ok(payload.len() as u64)
@@ -255,49 +251,23 @@ impl ArtifactCache {
         cfg: &PipelineConfig,
         train: &Dataset,
     ) -> io::Result<ThreePhase> {
-        if bytes.len() < 8 {
-            return Err(bad("entry shorter than its checksum"));
-        }
-        let (payload, tail) = bytes.split_at(bytes.len() - 8);
-        let stored_sum = u64::from_le_bytes(tail.try_into().unwrap());
-        let mut h = Fnv::new();
-        h.bytes(payload);
-        if h.finish() != stored_sum {
-            return Err(bad("checksum mismatch (truncated or corrupt entry)"));
-        }
-        let mut r = payload;
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad("not an EOSC cache entry"));
-        }
-        let version = read_u32(&mut r)?;
-        if version != VERSION {
-            return Err(bad(format!("unsupported EOSC version {version}")));
-        }
-        let stored_fp = read_u64(&mut r)?;
-        if stored_fp != fp {
+        let mut r = Reader::open_sealed(bytes, MAGIC, VERSION)?;
+        if r.u64()? != fp {
             return Err(bad("fingerprint mismatch (entry stored under wrong name)"));
         }
-        let num_classes = read_u64(&mut r)? as usize;
+        let num_classes = r.usize()?;
         if num_classes != train.num_classes {
             return Err(bad(format!(
                 "entry has {num_classes} classes, dataset has {}",
                 train.num_classes
             )));
         }
-        let weights_len = read_u64(&mut r)? as usize;
-        if weights_len > r.len() {
-            return Err(bad("weight blob length exceeds entry"));
-        }
-        let (weights, rest) = r.split_at(weights_len);
         // Structure the network exactly as training would have, then
         // restore the trained parameters and batch-norm statistics.
         let mut net = ConvNet::new(cfg.arch, train.shape, num_classes, &mut Rng64::new(fp));
-        load_weights(&mut net, weights)?;
-        let mut r = rest;
-        let train_fe = read_tensor(&mut r)?;
-        let n_labels = read_u64(&mut r)? as usize;
+        load_weights(&mut net, r.bytes()?)?;
+        let train_fe = take_tensor(&mut r)?;
+        let n_labels = r.count(4)?;
         if n_labels != train.len() {
             return Err(bad(format!(
                 "entry has {n_labels} samples, dataset has {}",
@@ -306,11 +276,9 @@ impl ArtifactCache {
         }
         let mut train_y = Vec::with_capacity(n_labels);
         for _ in 0..n_labels {
-            train_y.push(read_u32(&mut r)? as usize);
+            train_y.push(r.u32()? as usize);
         }
-        if !r.is_empty() {
-            return Err(bad("trailing bytes after the label block"));
-        }
+        r.finish()?;
         if train_y != train.y {
             return Err(bad("cached labels disagree with the dataset"));
         }
@@ -356,7 +324,7 @@ impl ArtifactCache {
                     continue;
                 }
             } else if name.ends_with(".eosc") {
-                if entry_checksum_ok(&path)? {
+                if unseal(&std::fs::read(&path)?).is_ok() {
                     None
                 } else {
                     Some("corrupt entry")
@@ -396,10 +364,9 @@ impl ArtifactCache {
     }
 
     /// Sweeps the `ckpt/` subdirectory: orphaned temps, checksum-corrupt
-    /// EOST files (the EOST tail is the same FNV-1a-over-prefix scheme as
-    /// EOSC, so [`entry_checksum_ok`] covers both), and checkpoints whose
-    /// training already produced its final `bb_<fp>.eosc` entry. Reported
-    /// names are prefixed `ckpt/`.
+    /// EOST files (sealed like EOSC, so [`unseal`] checks both), and
+    /// checkpoints whose training already produced its final
+    /// `bb_<fp>.eosc` entry. Reported names are prefixed `ckpt/`.
     fn gc_checkpoints(&self, report: &mut GcReport, kept: &mut Vec<GcEntry>) -> io::Result<()> {
         let entries = match std::fs::read_dir(self.ckpt_dir()) {
             Ok(e) => e,
@@ -427,7 +394,7 @@ impl ArtifactCache {
                     .is_some_and(|(stem, _)| self.dir.join(format!("{stem}.eosc")).exists());
                 if finished {
                     Some("superseded checkpoint")
-                } else if entry_checksum_ok(&path)? {
+                } else if unseal(&std::fs::read(&path)?).is_ok() {
                     None
                 } else {
                     Some("corrupt entry")
@@ -448,19 +415,6 @@ impl ArtifactCache {
         }
         Ok(())
     }
-}
-
-/// Verifies the FNV-1a tail of an entry without parsing its structure.
-fn entry_checksum_ok(path: &Path) -> io::Result<bool> {
-    let bytes = std::fs::read(path)?;
-    if bytes.len() < 8 {
-        return Ok(false);
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    let mut h = Fnv::new();
-    h.bytes(payload);
-    Ok(h.finish() == stored)
 }
 
 /// One file the garbage collector looked at.
@@ -565,23 +519,12 @@ impl Drop for ClaimGuard {
     }
 }
 
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use eos_data::SynthSpec;
     use eos_nn::LossKind;
+    use eos_trace::codec::Fnv;
 
     fn tiny_setup() -> (Dataset, Dataset, PipelineConfig) {
         let mut spec = SynthSpec::celeba_like(1);

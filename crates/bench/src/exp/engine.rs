@@ -7,12 +7,12 @@ use crate::exp::error::EngineError;
 use crate::exp::faults::{retry_io, FaultKind, FaultPlan};
 use crate::exp::journal::{cell_fingerprint, Journal, Rows};
 use crate::exp::sched;
-use crate::exp::spec::Fnv;
 use crate::runner::prepared_dataset;
 use eos_core::{PipelineConfig, Scale, ThreePhase};
 use eos_data::Dataset;
 use eos_nn::{Architecture, Checkpointer, LossKind, TrainError};
 use eos_tensor::Rng64;
+use eos_trace::codec::Fnv;
 use std::collections::HashMap;
 use std::io;
 use std::sync::{Arc, Mutex, PoisonError};

@@ -18,12 +18,11 @@
 //! BAC) cross the journal as the 16-hex-digit bit pattern of their
 //! `f64`, decoded exactly on replay.
 //!
-//! Entry layout (all integers little-endian):
+//! Each entry is a sealed `EOSJ` artifact (layout in
+//! [`eos_trace::codec`]). Body:
 //!
 //! ```text
-//! "EOSJ" | u32 version | u64 fp | u64 n_rows
-//!   n_rows x ( u64 n_cells, n_cells x ( u64 len, bytes ) )
-//! | u64 FNV-1a of everything above
+//! u64 fp | u64 n_rows x ( u64 n_cells x ( u64-prefixed UTF-8 cell ) )
 //! ```
 //!
 //! A truncated, bit-flipped or structurally impossible entry fails its
@@ -31,8 +30,8 @@
 //! — identical bits, since cells derive their RNG from their spec
 //! fingerprint, not from the journal.
 
-use crate::exp::spec::Fnv;
-use std::io::{self, Read};
+use eos_trace::codec::{bad, Fnv, Reader, Writer};
+use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"EOSJ";
@@ -41,10 +40,6 @@ const VERSION: u32 = 1;
 /// One cell's output: the rows it contributes to its table, each a list
 /// of already-formatted strings.
 pub type Rows = Vec<Vec<String>>;
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// Fingerprint identifying one cell's journal entry: the table, the cell
 /// label within it, and the run identity (scale, seed). Versioned so a
@@ -84,21 +79,15 @@ impl Journal {
     /// Stores one cell's rows under `fp`, atomically. Returns the entry
     /// size in bytes.
     pub fn store(&self, fp: u64, rows: &Rows) -> io::Result<u64> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(MAGIC);
-        payload.extend_from_slice(&VERSION.to_le_bytes());
-        payload.extend_from_slice(&fp.to_le_bytes());
-        payload.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+        let mut w = Writer::new(MAGIC, VERSION);
+        w.u64(fp).u64(rows.len() as u64);
         for row in rows {
-            payload.extend_from_slice(&(row.len() as u64).to_le_bytes());
+            w.u64(row.len() as u64);
             for cell in row {
-                payload.extend_from_slice(&(cell.len() as u64).to_le_bytes());
-                payload.extend_from_slice(cell.as_bytes());
+                w.bytes(cell.as_bytes());
             }
         }
-        let mut h = Fnv::new();
-        h.bytes(&payload);
-        payload.extend_from_slice(&h.finish().to_le_bytes());
+        let payload = w.seal();
         std::fs::create_dir_all(&self.dir)?;
         eos_trace::write_atomic(&self.cell_path(fp), &payload)?;
         Ok(payload.len() as u64)
@@ -119,62 +108,23 @@ impl Journal {
 }
 
 fn parse(fp: u64, bytes: &[u8]) -> io::Result<Rows> {
-    if bytes.len() < 8 {
-        return Err(bad("entry shorter than its checksum"));
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored_sum = u64::from_le_bytes(tail.try_into().unwrap());
-    let mut h = Fnv::new();
-    h.bytes(payload);
-    if h.finish() != stored_sum {
-        return Err(bad("checksum mismatch (truncated or corrupt entry)"));
-    }
-    let mut r = payload;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not an EOSJ journal entry"));
-    }
-    let version = read_u32(&mut r)?;
-    if version != VERSION {
-        return Err(bad(format!("unsupported EOSJ version {version}")));
-    }
-    let stored_fp = read_u64(&mut r)?;
-    if stored_fp != fp {
+    let mut r = Reader::open_sealed(bytes, MAGIC, VERSION)?;
+    if r.u64()? != fp {
         return Err(bad("fingerprint mismatch (entry stored under wrong name)"));
     }
-    let n_rows = read_u64(&mut r)? as usize;
-    let mut rows = Vec::new();
+    let n_rows = r.count(8)?;
+    let mut rows = Vec::with_capacity(n_rows);
     for _ in 0..n_rows {
-        let n_cells = read_u64(&mut r)? as usize;
-        let mut row = Vec::new();
+        let n_cells = r.count(8)?;
+        let mut row = Vec::with_capacity(n_cells);
         for _ in 0..n_cells {
-            let len = read_u64(&mut r)? as usize;
-            if len > r.len() {
-                return Err(bad("string length exceeds entry"));
-            }
-            let (s, rest) = r.split_at(len);
-            row.push(String::from_utf8(s.to_vec()).map_err(|_| bad("cell text is not UTF-8"))?);
-            r = rest;
+            let cell = r.bytes()?.to_vec();
+            row.push(String::from_utf8(cell).map_err(|_| bad("cell text is not UTF-8"))?);
         }
         rows.push(row);
     }
-    if !r.is_empty() {
-        return Err(bad("trailing bytes after the row block"));
-    }
+    r.finish()?;
     Ok(rows)
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 /// Encodes an `f64` as its exact 16-hex-digit bit pattern for a journal

@@ -48,4 +48,4 @@ pub use error::{report_failure, CellFailure, EngineError};
 pub use faults::{retry_io, FaultKind, FaultPlan, IO_ATTEMPTS};
 pub use journal::{cell_fingerprint, dec_f64, enc_f64, Journal, Rows};
 pub use sched::{map_jobs, run_jobs, JobPanic};
-pub use spec::{mix_rng, ExperimentSpec, Fnv, SamplerSpec};
+pub use spec::{mix_rng, ExperimentSpec, SamplerSpec};

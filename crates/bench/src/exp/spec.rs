@@ -5,55 +5,7 @@ use eos_gan::{BaganLite, CGan, DeepSmote, GamoLite};
 use eos_nn::LossKind;
 use eos_resample::{BalancedSvm, BorderlineSmote, Oversampler, Remix, Smote};
 use eos_tensor::Rng64;
-
-/// Streaming FNV-1a hasher over typed fields. Fingerprints derived from
-/// it key the on-disk artifact cache and seed per-cell RNG streams, so
-/// the mixing must stay stable across releases — change it and every
-/// cached artifact silently invalidates (safe, but wasteful) while every
-/// derived RNG stream shifts (changes experiment output).
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    /// Mixes raw bytes.
-    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-        self
-    }
-
-    /// Mixes a string with a terminator, so `"ab" + "c"` and `"a" + "bc"`
-    /// hash differently.
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        self.bytes(s.as_bytes()).bytes(&[0xff])
-    }
-
-    /// Mixes a `u64`.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.bytes(&v.to_le_bytes())
-    }
-
-    /// Mixes an `f32` by bit pattern (exact, no rounding ambiguity).
-    pub fn f32(&mut self, v: f32) -> &mut Self {
-        self.bytes(&v.to_bits().to_le_bytes())
-    }
-
-    /// The accumulated hash.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
+use eos_trace::codec::Fnv;
 
 /// An RNG stream derived from the master seed and a path of name parts.
 /// Replaces the binaries' old ad-hoc `seed ^ name_hash(a) ^ name_hash(b)`

@@ -119,24 +119,19 @@ impl Dataset {
     /// which is what lets downstream caches be content-addressed rather
     /// than name-addressed.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-            }
-        };
-        mix(&(self.num_classes as u64).to_le_bytes());
-        mix(&(self.shape.0 as u64).to_le_bytes());
-        mix(&(self.shape.1 as u64).to_le_bytes());
-        mix(&(self.shape.2 as u64).to_le_bytes());
-        mix(&(self.y.len() as u64).to_le_bytes());
+        let mut h = eos_trace::codec::Fnv::new();
+        h.u64(self.num_classes as u64)
+            .u64(self.shape.0 as u64)
+            .u64(self.shape.1 as u64)
+            .u64(self.shape.2 as u64)
+            .u64(self.y.len() as u64);
         for &l in &self.y {
-            mix(&(l as u64).to_le_bytes());
+            h.u64(l as u64);
         }
         for &v in self.x.data() {
-            mix(&v.to_bits().to_le_bytes());
+            h.f32(v);
         }
-        h
+        h.finish()
     }
 
     /// Standardises features in place with the given statistics (use the

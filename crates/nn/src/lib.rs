@@ -60,9 +60,8 @@ pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use resnet::{densenet_lite, resnet_cifar, wide_resnet, BasicBlock};
 pub use sequential::Sequential;
 pub use serialize::{
-    fnv1a, load_train_state_bytes, load_weights, load_weights_file, read_tensor,
-    save_train_state_bytes, save_weights, save_weights_bytes, save_weights_file, write_tensor,
-    TrainState,
+    fnv1a, load_train_state_bytes, load_weights, put_tensor, read_tensor, save_train_state_bytes,
+    save_weights, save_weights_bytes, take_tensor, write_tensor, TrainState,
 };
 pub use trainer::{
     train_epochs, train_with_early_stopping, try_train_epochs, try_train_epochs_resumable,

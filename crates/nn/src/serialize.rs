@@ -1,24 +1,28 @@
-//! Model weight serialization.
+//! Model weight serialization: the `EOSW` and `EOST` schemas over the
+//! shared artifact codec ([`eos_trace::codec`], which documents the
+//! common `magic | u32 version | body | u64 FNV-1a` layout).
 //!
-//! Two small self-describing binary formats:
-//!
-//! * `EOSW` — trainable parameters in the layer's stable order plus
-//!   non-trainable state (batch-norm running statistics), so a saved
-//!   network reproduces inference exactly. This is what lets phase one
-//!   of the framework be trained once and the classifier head
-//!   fine-tuned many times in later processes.
-//! * `EOST` — a full mid-training snapshot ([`TrainState`]): an `EOSW`
-//!   blob plus SGD momentum velocity, the shuffle RNG, the cumulative
-//!   sample order, the epoch counter / LR position / DRW flag and the
-//!   per-epoch history, closed by an FNV-1a checksum. Restoring one
+//! * `EOSW` (unsealed) — trainable parameters in the layer's stable
+//!   order plus non-trainable state (batch-norm running statistics), so
+//!   a saved network reproduces inference exactly. This is what lets
+//!   phase one of the framework be trained once and the classifier head
+//!   fine-tuned many times in later processes. Body:
+//!   `u64 n_params | n_params x tensor | u64 n_extra | n_extra x f32`,
+//!   where a tensor is `u32 rank | rank x u64 dim | f32 payload`.
+//! * `EOST` (sealed) — a full mid-training snapshot ([`TrainState`]).
+//!   Body: `u64 epochs_done | f32 lr | u8 drw_installed | u8 has_spare |
+//!   4 x u64 rng word | u64 spare bits | u64-prefixed EOSW blob |
+//!   u64 n x (u64 len | len x f32 velocity) | u64 n x u32 order |
+//!   u64 n x (u64 epoch | f32 loss | f32 accuracy)`. Restoring one
 //!   continues training bit-identically from the epoch boundary it was
 //!   taken at — the substrate of the crash-safe resume contract.
 
 use crate::layer::Layer;
 use crate::trainer::EpochStats;
 use eos_tensor::Tensor;
-use std::io::{self, Read, Write};
-use std::path::Path;
+pub use eos_trace::codec::fnv1a;
+use eos_trace::codec::{bad, Reader, Writer};
+use std::io::{self, Write};
 
 const MAGIC: &[u8; 4] = b"EOSW";
 const VERSION: u32 = 1;
@@ -27,162 +31,82 @@ const VERSION: u32 = 1;
 /// multi-gigabyte dims allocation before the shape check can reject it.
 const MAX_RANK: usize = 8;
 
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn write_f32s(w: &mut impl Write, vs: &[f32]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(vs.len() * 4);
-    for v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    w.write_all(&buf)
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_f32s(r: &mut impl Read, n: usize) -> io::Result<Vec<f32>> {
-    let mut buf = vec![0u8; n * 4];
-    r.read_exact(&mut buf)?;
-    Ok(buf
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 /// Writes a layer's parameters and extra state to `writer`.
 pub fn save_weights(layer: &mut dyn Layer, mut writer: impl Write) -> io::Result<()> {
-    writer.write_all(MAGIC)?;
-    write_u32(&mut writer, VERSION)?;
+    writer.write_all(&save_weights_bytes(layer))
+}
+
+/// [`save_weights`] rendered into a byte buffer — the in-memory half of
+/// the checkpoint round-trip API used by artifact caches.
+pub fn save_weights_bytes(layer: &mut dyn Layer) -> Vec<u8> {
+    let mut w = Writer::new(MAGIC, VERSION);
     let params = layer.params();
-    write_u64(&mut writer, params.len() as u64)?;
+    w.u64(params.len() as u64);
     for p in &params {
-        let dims = p.value.dims();
-        write_u32(&mut writer, dims.len() as u32)?;
-        for &d in dims {
-            write_u64(&mut writer, d as u64)?;
-        }
-        write_f32s(&mut writer, p.value.data())?;
+        put_tensor(&mut w, &p.value);
     }
     let extra = layer.extra_state();
-    write_u64(&mut writer, extra.len() as u64)?;
-    write_f32s(&mut writer, &extra)?;
-    Ok(())
+    w.u64(extra.len() as u64).f32s(&extra);
+    w.finish()
 }
 
 /// Restores parameters and extra state written by [`save_weights`] into a
 /// structurally identical layer. Fails loudly on any shape mismatch.
-pub fn load_weights(layer: &mut dyn Layer, mut reader: impl Read) -> io::Result<()> {
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not an EOSW weight file"));
-    }
-    let version = read_u32(&mut reader)?;
-    if version != VERSION {
-        return Err(bad(format!("unsupported EOSW version {version}")));
-    }
-    let count = read_u64(&mut reader)? as usize;
+pub fn load_weights(layer: &mut dyn Layer, bytes: &[u8]) -> io::Result<()> {
+    let mut r = Reader::open(bytes, MAGIC, VERSION)?;
+    let count = r.u64()?;
     let mut params = layer.params();
-    if count != params.len() {
+    if count != params.len() as u64 {
         return Err(bad(format!(
             "file has {count} parameters, model has {}",
             params.len()
         )));
     }
     for (i, p) in params.iter_mut().enumerate() {
-        let rank = read_u32(&mut reader)? as usize;
-        if rank > MAX_RANK {
+        let t = take_tensor(&mut r)
+            .map_err(|e| io::Error::new(e.kind(), format!("parameter {i}: {e}")))?;
+        if t.dims() != p.value.dims() {
             return Err(bad(format!(
-                "parameter {i} claims rank {rank} (corrupt length field?)"
-            )));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(read_u64(&mut reader)? as usize);
-        }
-        if dims != p.value.dims() {
-            return Err(bad(format!(
-                "parameter shape mismatch: file {dims:?}, model {:?}",
+                "parameter shape mismatch: file {:?}, model {:?}",
+                t.dims(),
                 p.value.dims()
             )));
         }
-        let data = read_f32s(&mut reader, p.value.len())?;
-        if data.iter().any(|v| !v.is_finite()) {
-            return Err(bad(format!("non-finite value in parameter {i}")));
-        }
-        p.value.data_mut().copy_from_slice(&data);
+        p.value.data_mut().copy_from_slice(t.data());
     }
-    let extra_len = read_u64(&mut reader)? as usize;
+    let extra_len = r.u64()?;
     let expected = layer.extra_state().len();
-    if extra_len != expected {
+    if extra_len != expected as u64 {
         return Err(bad(format!(
             "extra state length mismatch: file {extra_len}, model {expected}"
         )));
     }
-    let extra = read_f32s(&mut reader, extra_len)?;
+    let extra = r.f32s(expected)?;
     if extra.iter().any(|v| !v.is_finite()) {
         return Err(bad("non-finite value in extra state"));
     }
     layer.load_extra_state(&extra);
-    // A well-formed file ends exactly at the extra state; anything after
-    // it means the file and the model disagree about the structure in a
+    // A well-formed blob ends exactly at the extra state; anything after
+    // it means the blob and the model disagree about the structure in a
     // way the per-parameter checks happened not to catch.
-    let mut one = [0u8; 1];
-    loop {
-        match reader.read(&mut one) {
-            Ok(0) => return Ok(()),
-            Ok(_) => return Err(bad("trailing bytes after the last tensor")),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+    r.finish()
+}
+
+/// Appends one tensor record (rank, dims, f32 payload) — the encoding of
+/// every `EOSW` parameter — to an artifact under construction.
+pub fn put_tensor(w: &mut Writer, t: &Tensor) {
+    w.u32(t.dims().len() as u32);
+    for &d in t.dims() {
+        w.u64(d as u64);
     }
+    w.f32s(t.data());
 }
 
-/// [`save_weights`] rendered into a byte buffer — the in-memory half of
-/// the checkpoint round-trip API used by artifact caches.
-pub fn save_weights_bytes(layer: &mut dyn Layer) -> Vec<u8> {
-    let mut buf = Vec::new();
-    save_weights(layer, &mut buf).expect("writing to a Vec cannot fail");
-    buf
-}
-
-/// Writes one tensor (rank, dims, f32 payload) in EOSW's wire encoding.
-/// Together with [`read_tensor`] this lets callers persist auxiliary
-/// arrays (extracted embeddings, cached statistics) next to a weight
-/// blob without inventing a second format.
-pub fn write_tensor(mut writer: impl Write, t: &Tensor) -> io::Result<()> {
-    let dims = t.dims();
-    write_u32(&mut writer, dims.len() as u32)?;
-    for &d in dims {
-        write_u64(&mut writer, d as u64)?;
-    }
-    write_f32s(&mut writer, t.data())
-}
-
-/// Reads a tensor written by [`write_tensor`], with the same corruption
-/// guards as weight loading: bounded rank, bounded element count and a
+/// Reads one tensor record written by [`put_tensor`]: bounded rank,
+/// overflow-checked dims, a payload bounded by the bytes left, and a
 /// finiteness check on every value.
-pub fn read_tensor(mut reader: impl Read) -> io::Result<Tensor> {
-    let rank = read_u32(&mut reader)? as usize;
+pub fn take_tensor(r: &mut Reader<'_>) -> io::Result<Tensor> {
+    let rank = r.u32()? as usize;
     if rank > MAX_RANK {
         return Err(bad(format!(
             "tensor claims rank {rank} (corrupt length field?)"
@@ -191,35 +115,35 @@ pub fn read_tensor(mut reader: impl Read) -> io::Result<Tensor> {
     let mut dims = Vec::with_capacity(rank);
     let mut len = 1usize;
     for _ in 0..rank {
-        let d = read_u64(&mut reader)? as usize;
+        let d = r.usize()?;
         len = len
             .checked_mul(d)
-            .filter(|&l| l <= MAX_TENSOR_ELEMS)
             .ok_or_else(|| bad("tensor dims overflow (corrupt dim field?)"))?;
         dims.push(d);
     }
-    let data = read_f32s(&mut reader, len)?;
+    let data = r.f32s(len)?;
     if data.iter().any(|v| !v.is_finite()) {
         return Err(bad("non-finite value in tensor"));
     }
     Ok(Tensor::from_vec(data, &dims))
 }
 
-/// Element cap for [`read_tensor`]: nothing persisted in this workspace
-/// approaches it, and it stops a corrupt dim field from driving a
-/// multi-gigabyte allocation before the read fails.
-const MAX_TENSOR_ELEMS: usize = 1 << 31;
-
-/// [`save_weights`] to a file path.
-pub fn save_weights_file(layer: &mut dyn Layer, path: &Path) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    save_weights(layer, io::BufWriter::new(file))
+/// Writes one tensor record on its own. Together with [`read_tensor`]
+/// this lets callers persist auxiliary arrays (extracted embeddings,
+/// cached statistics) without inventing a second format.
+pub fn write_tensor(mut writer: impl Write, t: &Tensor) -> io::Result<()> {
+    let mut w = Writer::default();
+    put_tensor(&mut w, t);
+    writer.write_all(&w.finish())
 }
 
-/// [`load_weights`] from a file path.
-pub fn load_weights_file(layer: &mut dyn Layer, path: &Path) -> io::Result<()> {
-    let file = std::fs::File::open(path)?;
-    load_weights(layer, io::BufReader::new(file))
+/// Reads a tensor written by [`write_tensor`]; `bytes` must hold exactly
+/// one record.
+pub fn read_tensor(bytes: &[u8]) -> io::Result<Tensor> {
+    let mut r = Reader::new(bytes);
+    let t = take_tensor(&mut r)?;
+    r.finish()?;
+    Ok(t)
 }
 
 // ---------------------------------------------------------------------------
@@ -227,25 +151,9 @@ pub fn load_weights_file(layer: &mut dyn Layer, path: &Path) -> io::Result<()> {
 
 const TRAIN_MAGIC: &[u8; 4] = b"EOST";
 const TRAIN_VERSION: u32 = 1;
-/// Caps on per-section counts, sized far above anything the workspace
-/// trains but small enough that a corrupt length field fails the read
-/// instead of driving a giant allocation.
-const MAX_VELOCITY_BUFFERS: usize = 1 << 20;
+/// Cap on the epoch counter, far above anything the workspace trains;
+/// the history length must match it.
 const MAX_EPOCHS: usize = 1 << 20;
-const MAX_ORDER: usize = MAX_TENSOR_ELEMS;
-const MAX_WEIGHTS_BYTES: usize = 1 << 33;
-
-/// FNV-1a over `bytes`. Same constants as the experiment engine's cache
-/// checksums, so an `EOST` file's trailing hash validates under either
-/// implementation.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Everything [`crate::trainer::try_train_epochs_resumable`] needs to
 /// continue a run bit-identically from an epoch boundary.
@@ -281,47 +189,31 @@ pub struct TrainState {
     pub history: Vec<EpochStats>,
 }
 
-/// Serialises a [`TrainState`] into an `EOST` byte buffer ending in an
-/// FNV-1a checksum of everything before it.
+/// Serialises a [`TrainState`] into a sealed `EOST` byte buffer.
 pub fn save_train_state_bytes(state: &TrainState) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let w = &mut buf;
-    w.extend_from_slice(TRAIN_MAGIC);
-    write_u32(w, TRAIN_VERSION).unwrap();
-    write_u64(w, state.epochs_done as u64).unwrap();
-    w.extend_from_slice(&state.lr.to_le_bytes());
-    w.push(state.drw_installed as u8);
-    w.push(state.rng_spare.is_some() as u8);
+    let mut w = Writer::new(TRAIN_MAGIC, TRAIN_VERSION);
+    w.u64(state.epochs_done as u64)
+        .f32(state.lr)
+        .u8(state.drw_installed as u8)
+        .u8(state.rng_spare.is_some() as u8);
     for word in state.rng_words {
-        write_u64(w, word).unwrap();
+        w.u64(word);
     }
-    write_u64(w, state.rng_spare.unwrap_or(0.0).to_bits()).unwrap();
-    write_u64(w, state.weights.len() as u64).unwrap();
-    w.extend_from_slice(&state.weights);
-    write_u64(w, state.velocity.len() as u64).unwrap();
+    w.u64(state.rng_spare.unwrap_or(0.0).to_bits())
+        .bytes(&state.weights)
+        .u64(state.velocity.len() as u64);
     for v in &state.velocity {
-        write_u64(w, v.len() as u64).unwrap();
-        write_f32s(w, v).unwrap();
+        w.u64(v.len() as u64).f32s(v);
     }
-    write_u64(w, state.order.len() as u64).unwrap();
+    w.u64(state.order.len() as u64);
     for &i in &state.order {
-        write_u32(w, i).unwrap();
+        w.u32(i);
     }
-    write_u64(w, state.history.len() as u64).unwrap();
+    w.u64(state.history.len() as u64);
     for h in &state.history {
-        write_u64(w, h.epoch as u64).unwrap();
-        w.extend_from_slice(&h.loss.to_le_bytes());
-        w.extend_from_slice(&h.accuracy.to_le_bytes());
+        w.u64(h.epoch as u64).f32(h.loss).f32(h.accuracy);
     }
-    let checksum = fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
-}
-
-fn read_f32(r: &mut impl Read) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
+    w.seal()
 }
 
 /// Parses an `EOST` buffer back into a [`TrainState`].
@@ -333,94 +225,47 @@ fn read_f32(r: &mut impl Read) -> io::Result<f32> {
 /// embedded weights blob is validated later by [`load_weights`] when
 /// it is restored into a concrete network.
 pub fn load_train_state_bytes(bytes: &[u8]) -> io::Result<TrainState> {
-    if bytes.len() < 8 {
-        return Err(bad("EOST file shorter than its checksum"));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    let computed = fnv1a(body);
-    if stored != computed {
-        return Err(bad(format!(
-            "EOST checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-        )));
-    }
-    let r = &mut &body[..];
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != TRAIN_MAGIC {
-        return Err(bad("not an EOST training checkpoint"));
-    }
-    let version = read_u32(r)?;
-    if version != TRAIN_VERSION {
-        return Err(bad(format!("unsupported EOST version {version}")));
-    }
-    let epochs_done = read_u64(r)? as usize;
+    let mut r = Reader::open_sealed(bytes, TRAIN_MAGIC, TRAIN_VERSION)?;
+    let epochs_done = r.usize()?;
     if epochs_done > MAX_EPOCHS {
         return Err(bad(format!(
             "EOST claims {epochs_done} completed epochs (corrupt field?)"
         )));
     }
-    let lr = read_f32(r)?;
+    let lr = r.f32()?;
     if !lr.is_finite() {
         return Err(bad("non-finite learning rate in EOST"));
     }
-    let mut flags = [0u8; 2];
-    r.read_exact(&mut flags)?;
-    if flags[0] > 1 || flags[1] > 1 {
+    let (drw, has_spare) = (r.u8()?, r.u8()?);
+    if drw > 1 || has_spare > 1 {
         return Err(bad("EOST boolean flag out of range"));
     }
-    let drw_installed = flags[0] == 1;
-    let has_spare = flags[1] == 1;
     let mut rng_words = [0u64; 4];
     for word in &mut rng_words {
-        *word = read_u64(r)?;
+        *word = r.u64()?;
     }
-    let spare_bits = read_u64(r)?;
-    let rng_spare = has_spare.then(|| f64::from_bits(spare_bits));
-    if let Some(s) = rng_spare {
-        if !s.is_finite() {
-            return Err(bad("non-finite RNG spare in EOST"));
-        }
+    let spare_bits = r.u64()?;
+    let rng_spare = (has_spare == 1).then(|| f64::from_bits(spare_bits));
+    if rng_spare.is_some_and(|s| !s.is_finite()) {
+        return Err(bad("non-finite RNG spare in EOST"));
     }
-    let weights_len = read_u64(r)? as usize;
-    if weights_len > MAX_WEIGHTS_BYTES {
-        return Err(bad(format!(
-            "EOST claims a {weights_len}-byte weights blob (corrupt field?)"
-        )));
-    }
-    let mut weights = vec![0u8; weights_len];
-    r.read_exact(&mut weights)?;
-    let n_vel = read_u64(r)? as usize;
-    if n_vel > MAX_VELOCITY_BUFFERS {
-        return Err(bad(format!(
-            "EOST claims {n_vel} velocity buffers (corrupt field?)"
-        )));
-    }
+    let weights = r.bytes()?.to_vec();
+    let n_vel = r.count(8)?;
     let mut velocity = Vec::with_capacity(n_vel);
     for i in 0..n_vel {
-        let len = read_u64(r)? as usize;
-        if len > MAX_TENSOR_ELEMS {
-            return Err(bad(format!(
-                "velocity buffer {i} claims {len} elements (corrupt field?)"
-            )));
-        }
-        let v = read_f32s(r, len)?;
+        let len = r.usize()?;
+        let v = r.f32s(len)?;
         if v.iter().any(|x| !x.is_finite()) {
             return Err(bad(format!("non-finite value in velocity buffer {i}")));
         }
         velocity.push(v);
     }
-    let order_len = read_u64(r)? as usize;
-    if order_len > MAX_ORDER {
-        return Err(bad(format!(
-            "EOST claims a {order_len}-element sample order (corrupt field?)"
-        )));
-    }
+    let order_len = r.count(4)?;
     let mut order = Vec::with_capacity(order_len);
     for _ in 0..order_len {
-        order.push(read_u32(r)?);
+        order.push(r.u32()?);
     }
-    let n_hist = read_u64(r)? as usize;
+    let n_hist = r.count(16)?;
     if n_hist != epochs_done {
         return Err(bad(format!(
             "EOST history has {n_hist} entries for {epochs_done} completed epochs"
@@ -428,9 +273,9 @@ pub fn load_train_state_bytes(bytes: &[u8]) -> io::Result<TrainState> {
     }
     let mut history = Vec::with_capacity(n_hist);
     for i in 0..n_hist {
-        let epoch = read_u64(r)? as usize;
-        let loss = read_f32(r)?;
-        let accuracy = read_f32(r)?;
+        let epoch = r.usize()?;
+        let loss = r.f32()?;
+        let accuracy = r.f32()?;
         if epoch != i {
             return Err(bad(format!("EOST history entry {i} claims epoch {epoch}")));
         }
@@ -443,13 +288,11 @@ pub fn load_train_state_bytes(bytes: &[u8]) -> io::Result<TrainState> {
             accuracy,
         });
     }
-    if !r.is_empty() {
-        return Err(bad("trailing bytes before the EOST checksum"));
-    }
+    r.finish()?;
     Ok(TrainState {
         epochs_done,
         lr,
-        drw_installed,
+        drw_installed: drw == 1,
         rng_words,
         rng_spare,
         weights,
@@ -766,25 +609,37 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Standard FNV-1a 64-bit test vectors; the cache layer computes
-        // the same function independently, so pin the constants here.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    fn claimed_lengths_fail_against_the_bytes_left() {
+        // A resealed EOST whose sample order claims 2^31 - 1 elements:
+        // the claim is checked against the bytes that remain before an
+        // order buffer is sized from it.
+        let mut state = sample_state();
+        state.epochs_done = 0;
+        state.history.clear();
+        state.order.clear();
+        let sealed = save_train_state_bytes(&state);
+        let mut body = sealed[..sealed.len() - 8].to_vec();
+        // The body ends with the order length and the history count.
+        let at = body.len() - 16;
+        body[at..at + 8].copy_from_slice(&((1u64 << 31) - 1).to_le_bytes());
+        let checksum = fnv1a(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        let err = load_train_state_bytes(&body).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        // A 12-byte tensor record claiming [1 << 30] and no payload.
+        let mut claim = 1u32.to_le_bytes().to_vec();
+        claim.extend_from_slice(&(1u64 << 30).to_le_bytes());
+        let err = read_tensor(&claim).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
     }
 
     #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("eos_weights_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("net.eosw");
-        let mut a = tiny_net(4);
-        save_weights_file(&mut a, &path).unwrap();
-        let mut b = tiny_net(5);
-        load_weights_file(&mut b, &path).unwrap();
-        let x = normal(&[2, 3 * 64], 0.0, 1.0, &mut Rng64::new(6));
-        assert_eq!(a.forward(&x, false).data(), b.forward(&x, false).data());
+    fn fnv1a_matches_reference_vectors() {
+        // Standard FNV-1a 64-bit test vectors: the EOST tail is sealed
+        // with this function, so pin the constants here.
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     /// Golden EOSW bytes: length and FNV-1a digest of `tiny_net(1)`'s

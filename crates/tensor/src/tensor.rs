@@ -421,20 +421,14 @@ impl Tensor {
     /// iff they are bit-for-bit identical, including NaN payloads and
     /// signed zeros that `==` would conflate.
     pub fn bits_digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
+        let mut h = eos_trace::codec::Fnv::new();
         for &d in self.dims() {
-            eat(&(d as u64).to_le_bytes());
+            h.u64(d as u64);
         }
-        for x in &self.data {
-            eat(&x.to_bits().to_le_bytes());
+        for &x in &self.data {
+            h.f32(x);
         }
-        h
+        h.finish()
     }
 }
 

@@ -23,6 +23,7 @@
 //! (summary: span tree, counters, histograms) plus a `.jsonl` event log
 //! of individual span completions.
 
+pub mod codec;
 mod json;
 mod registry;
 

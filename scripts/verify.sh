@@ -309,10 +309,11 @@ echo "fault-storm gate: transient storm absorbed, panic storm reported + healed 
 # Serving gate: the batched inference engine must (a) pass its
 # differential suite (serve output bit-identical to the trainer's eval
 # forward across batch sizes and thread splits) and the micro-batcher
-# property/determinism suites, and (b) at least double single-request
-# throughput at batch 32 on the 4-thread budget — serve_bench exits
-# non-zero otherwise, and also self-validates that its
-# results/TRACE_serve.json{,l} artifacts are byte-valid RFC 8259 JSON.
-cargo test -q -p eos-serve
+# property/determinism suites — the tier-1 `cargo test -q` above already
+# runs them, since eos-serve is a default workspace member — and (b) at
+# least double single-request throughput at batch 32 on the 4-thread
+# budget: serve_bench exits non-zero otherwise, and also self-validates
+# that its results/TRACE_serve.json{,l} artifacts are byte-valid
+# RFC 8259 JSON.
 cargo run --release -q -p eos-bench --bin serve_bench -- --smoke
 echo "serving gate: differential + batcher suites green, batching speedup >= 2x, trace JSON valid"
