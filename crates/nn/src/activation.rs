@@ -32,10 +32,10 @@ impl Layer for Relu {
         let mask = self.mask.as_ref().expect("Relu::backward before forward");
         assert_eq!(mask.len(), grad.len());
         let mut out = grad.clone();
+        // A select, not a branch: the mask is data-dependent, and a
+        // select vectorises.
         for (g, &m) in out.data_mut().iter_mut().zip(mask) {
-            if !m {
-                *g = 0.0;
-            }
+            *g = if m { *g } else { 0.0 };
         }
         out
     }
@@ -82,10 +82,9 @@ impl Layer for LeakyRelu {
         // would zip-truncate and leave the tail at the positive slope.
         assert_eq!(mask.len(), grad.len());
         let mut out = grad.clone();
+        let a = self.alpha;
         for (g, &m) in out.data_mut().iter_mut().zip(mask) {
-            if !m {
-                *g *= self.alpha;
-            }
+            *g = if m { *g } else { *g * a };
         }
         out
     }

@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, Param};
 use eos_tensor::{
-    col2im_into, conv2d_direct_into, gemm_nt_panels_into, gemm_prepacked_into, gemm_tn_batch_into,
+    conv2d_direct_into, conv2d_input_grad_into, conv2d_weight_grad_into, gemm_prepacked_into,
     im2col_batch_panels_into, kaiming_uniform, par, scratch, Conv2dGeometry, Rng64, Tensor,
     PANEL_WIDTH,
 };
@@ -29,9 +29,8 @@ struct ConvCache {
     /// The panel-packed patch matrix ([`im2col_batch_panels_into`]),
     /// fully overwritten by each unfold; only the prefix a forward needs
     /// is used, so it only grows. After a training forward it holds the
-    /// whole batch: the backward pass reads each image's dW right-hand
-    /// side straight from it, then overwrites it with the patch
-    /// gradients. After an eval forward it holds one image group.
+    /// whole batch, which the backward pass reads the weight gradient
+    /// from in place. After an eval forward it holds one image group.
     panels: Vec<f32>,
     /// Batch size of the training forward `panels` holds, until the
     /// backward pass consumes it; `None` after an eval forward.
@@ -78,6 +77,30 @@ impl Conv2d {
     /// Direct access to the `(out_channels, C·K·K)` weight matrix.
     pub fn weight(&self) -> &Tensor {
         &self.weight.value
+    }
+
+    /// Accumulates dW (read in place from the cached panels) and db of the
+    /// training forward the cache holds, consuming it; returns its batch
+    /// size. db adds each image's per-channel sums in image order, the
+    /// same order dW's partials are reduced in.
+    fn param_grads(&mut self, grad: &Tensor) -> usize {
+        let n = self
+            .cache
+            .train_batch
+            .take()
+            .expect("Conv2d::backward without a training forward");
+        assert_eq!(grad.dims(), &[n, self.out_len()]);
+        let panels = &self.cache.panels[..self.geom.panels_len(n)];
+        conv2d_weight_grad_into(grad.data(), panels, &self.geom, self.weight.grad.data_mut());
+        let (osp, out_len) = (self.geom.patch_count(), self.out_len());
+        if let Some(b) = &mut self.bias {
+            for g in grad.data().chunks_exact(out_len) {
+                for (gv, grow) in b.grad.data_mut().iter_mut().zip(g.chunks_exact(osp)) {
+                    *gv += grow.iter().sum::<f32>();
+                }
+            }
+        }
+        n
     }
 }
 
@@ -172,55 +195,21 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let n = self
-            .cache
-            .train_batch
-            .take()
-            .expect("Conv2d::backward without a training forward");
-        assert_eq!(grad.dims(), &[n, self.out_len()]);
-        let geom = self.geom;
-        let (osp, plen, oc) = (geom.patch_count(), geom.patch_len(), self.out_channels);
-        let in_len = self.in_len();
-        let w = self.weight.value.data();
-        let wlen = w.len();
-        let has_bias = self.bias.is_some();
-        let panels = &self.cache.panels;
-        // dW/db: one GEMM per image, reading its patch matrix straight
-        // from the cached panels, into a private partial slot; the
-        // partials are then reduced serially in image order, which
-        // reproduces the serial loop's `dW += dW_i` sequence bit for bit.
-        let mut partials = scratch::take_zeroed(n * (wlen + oc));
-        par::par_chunks_mut(&mut partials, wlen + oc, |i, part| {
-            let g = grad.row_slice(i); // (O × H'W'), row-major
-            gemm_nt_panels_into(g, panels, i * osp, &mut part[..wlen], osp, plen);
-            if has_bias {
-                for (pv, grow) in part[wlen..].iter_mut().zip(g.chunks_exact(osp)) {
-                    *pv = grow.iter().sum();
-                }
-            }
-        });
-        for part in partials.chunks_exact(wlen + oc) {
-            for (gv, &pv) in self.weight.grad.data_mut().iter_mut().zip(&part[..wlen]) {
-                *gv += pv;
-            }
-            if let Some(b) = &mut self.bias {
-                for (gv, &pv) in b.grad.data_mut().iter_mut().zip(&part[wlen..]) {
-                    *gv += pv;
-                }
-            }
-        }
-        scratch::give(partials);
-        // dX: one wide GEMM over the batch, `dcols_i = G_iᵀ · W` stacked
-        // image by image into the panels dW no longer needs, then each
-        // image's patch gradient scatters back.
-        let dcols = &mut self.cache.panels[..n * osp * plen];
-        gemm_tn_batch_into(grad.data(), w, dcols, n, oc, osp, plen);
-        let dcols = &*dcols;
-        let mut dx = Tensor::zeros(&[n, in_len]);
-        par::par_chunks_mut(dx.data_mut(), in_len, |i, dxrow| {
-            col2im_into(&dcols[i * osp * plen..][..osp * plen], &geom, dxrow);
-        });
+        let n = self.param_grads(grad);
+        let mut dx = Tensor::zeros(&[n, self.in_len()]);
+        conv2d_input_grad_into(
+            grad.data(),
+            self.weight.value.data(),
+            &self.geom,
+            dx.data_mut(),
+        );
         dx
+    }
+
+    /// The parameter gradients alone: a first layer's input gradient is
+    /// never read, so it is not computed.
+    fn backward_params(&mut self, grad: &Tensor) {
+        self.param_grads(grad);
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -478,9 +467,11 @@ mod tests {
     #[test]
     fn train_conv_is_bit_identical_to_a_per_image_reference() {
         // Every `resnet_cifar` geometry of the 3×8×8 training net, plus
-        // 16×16 planes whose batch spans several image groups, at batch
-        // sizes that leave whole, shared and zero-padded panels, across
-        // thread budgets and both micro-kernels.
+        // 16×16 planes whose batch spans several image groups, channel
+        // counts that are not whole vectors and odd planes, at batch sizes
+        // that leave whole, shared and zero-padded panels, across thread
+        // budgets and both micro-kernels. Output gradients are normal
+        // draws, all zero, or normal draws with `-0.0` sprinkled in.
         for (g, oc) in [
             (geom(3, 8, 8, 3, 1, 1), 8),    // stem
             (geom(8, 8, 8, 3, 1, 1), 8),    // 8×8 stride 1
@@ -489,11 +480,24 @@ mod tests {
             (geom(16, 4, 4, 3, 2, 1), 32),  // 2×2 output: 4 patches per panel
             (geom(32, 2, 2, 3, 1, 1), 32),  // 2×2 stride 1
             (geom(16, 16, 16, 3, 1, 1), 8), // several image groups per batch
+            (geom(4, 8, 8, 3, 1, 1), 4),    // 4-channel layers
+            (geom(12, 7, 7, 3, 2, 1), 3),   // 3×3 stride 2 on an odd plane
+            (geom(3, 7, 7, 3, 2, 1), 12),   // 3 in, 12 out
+            (geom(12, 7, 7, 1, 2, 0), 4),   // 1×1 stride 2 on an odd plane
         ] {
             let in_len = g.in_channels * g.height * g.width;
-            for n in [1, 3, 32] {
+            let out_len = oc * g.patch_count();
+            for (n, grads) in [1, 3, 32]
+                .into_iter()
+                .flat_map(|n| ["normal", "zero", "signed zeros"].map(|k| (n, k)))
+            {
                 let x = normal(&[n, in_len], 0.0, 1.0, &mut Rng64::new(70));
-                let gy = normal(&[n, oc * g.patch_count()], 0.0, 1.0, &mut Rng64::new(71));
+                let mut gy = normal(&[n, out_len], 0.0, 1.0, &mut Rng64::new(71));
+                match grads {
+                    "zero" => gy.fill_(0.0),
+                    "signed zeros" => gy.data_mut().iter_mut().step_by(3).for_each(|v| *v = -0.0),
+                    _ => {}
+                }
                 let want =
                     per_image_reference(&Conv2d::new(g, oc, true, &mut Rng64::new(72)), &x, &gy);
                 for threads in [1, 2, 4] {
@@ -514,7 +518,8 @@ mod tests {
                                 got.iter()
                                     .map(|v| v.to_bits())
                                     .eq(want.iter().map(|v| v.to_bits())),
-                                "{g:?} batch {n} threads {threads} scalar {force_scalar}: {name}"
+                                "{g:?} batch {n} {grads} grads threads {threads} \
+                                 scalar {force_scalar}: {name}"
                             );
                         }
                     }

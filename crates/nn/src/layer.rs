@@ -60,6 +60,13 @@ pub trait Layer {
     /// gradients and returning ∂loss/∂input.
     fn backward(&mut self, grad: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a caller that drops ∂loss/∂input: accumulates
+    /// the same parameter gradients, and may skip computing the input
+    /// gradient. The default runs `backward` and drops its result.
+    fn backward_params(&mut self, grad: &Tensor) {
+        let _ = self.backward(grad);
+    }
+
     /// Forward-only inference entry: eval-mode behaviour (batch norm uses
     /// running statistics, dropout is the identity) with no backward
     /// caching. This is the path the serving engine drives; it must leave

@@ -127,6 +127,14 @@ impl ConvNet {
         self.features.backward(&dfe)
     }
 
+    /// [`ConvNet::backward`] without the input gradient, which training
+    /// never reads: the same parameter gradients, one conv backward
+    /// cheaper.
+    pub fn backward_params(&mut self, dlogits: &Tensor) {
+        let dfe = self.head.backward(dlogits);
+        self.features.backward_params(&dfe);
+    }
+
     /// All trainable parameters (features then head).
     pub fn params(&mut self) -> Vec<&mut Param> {
         let mut ps = self.features.params();
@@ -164,6 +172,10 @@ impl Layer for ConvNet {
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         ConvNet::backward(self, grad)
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) {
+        ConvNet::backward_params(self, grad);
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -278,6 +290,37 @@ mod tests {
                 .map(|p| p as *const Param)
                 .collect();
             assert_eq!(visited, direct, "{}", arch.name());
+        }
+    }
+
+    #[test]
+    fn backward_params_matches_backward_on_every_architecture() {
+        // The trainer's parameter-only backward (through `dyn Layer`, as
+        // the trainer calls it) skips the stem's input gradient; every
+        // parameter gradient must still match a full backward bit for bit.
+        for arch in [
+            tiny(),
+            Architecture::DenseNet {
+                growth: 3,
+                layers_per_block: 2,
+            },
+        ] {
+            let x = normal(&[3, 3 * 64], 0.0, 1.0, &mut Rng64::new(50));
+            let mut full = ConvNet::new(arch, (3, 8, 8), 3, &mut Rng64::new(51));
+            let mut params_only = ConvNet::new(arch, (3, 8, 8), 3, &mut Rng64::new(51));
+            let logits = full.forward(&x, true);
+            let _ = full.backward(&logits);
+            let logits = params_only.forward(&x, true);
+            Layer::backward_params(&mut params_only, &logits);
+            let digests = |net: &mut ConvNet| -> Vec<u64> {
+                net.params().iter().map(|p| p.grad.bits_digest()).collect()
+            };
+            assert_eq!(
+                digests(&mut full),
+                digests(&mut params_only),
+                "{}",
+                arch.name()
+            );
         }
     }
 

@@ -122,9 +122,7 @@ impl Layer for BasicBlock {
             .expect("BasicBlock::backward before training forward");
         let mut g = grad.clone();
         for (gv, &m) in g.data_mut().iter_mut().zip(mask) {
-            if !m {
-                *gv = 0.0;
-            }
+            *gv = if m { *gv } else { 0.0 };
         }
         // Main path, reverse order.
         let gm = self.bn2.backward(&g);

@@ -321,7 +321,7 @@ fn run_epoch(
                 value: l,
             });
         }
-        let _ = net.backward(&dlogits);
+        net.backward_params(&dlogits);
         opt.step_visit(net);
         total_loss += l as f64;
         batches += 1;

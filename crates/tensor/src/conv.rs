@@ -1,15 +1,19 @@
-//! `im2col`/`col2im` lowering used by the convolution layers.
+//! Convolution kernels: the `im2col` lowering and the backward pass.
 //!
 //! A convolution over an `N×C×H×W` batch with `K×K` kernels, stride `s` and
 //! padding `p` is computed as a GEMM between the unfolded input patches
 //! and the flattened weight matrix. The layers unfold a whole batch
 //! straight into the GEMM's panel-packed layout
 //! ([`im2col_batch_panels_into`]); the row-major per-image [`im2col`] is
-//! the reference it is tested against. `col2im` is the adjoint
-//! (scatter-add) used in the backward pass.
+//! the reference it is tested against. The backward pass reads those
+//! panels in place for the weight gradient ([`conv2d_weight_grad_into`])
+//! and computes the input gradient directly
+//! ([`conv2d_input_grad_into`]); [`col2im`], the adjoint scatter of
+//! `im2col`, is the reference both are tested against.
 
-use crate::matmul::PANEL_WIDTH;
+use crate::matmul::{wide_kernels, PANEL_WIDTH};
 use crate::tensor::Tensor;
+use crate::{par, scratch};
 
 /// Static geometry of a 2-D convolution: input size, kernel, stride, pad.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,7 +287,7 @@ pub fn conv2d_direct_into(image: &[f32], weight: &[f32], out: &mut [f32], geom: 
         "output buffer size mismatch"
     );
     let (ph, pw) = (h + 2 * geom.pad, w + 2 * geom.pad);
-    let mut padded = crate::scratch::take_zeroed(c * ph * pw);
+    let mut padded = scratch::take_zeroed(c * ph * pw);
     for ch in 0..c {
         let plane = &image[ch * h * w..(ch + 1) * h * w];
         let dst = &mut padded[ch * ph * pw..];
@@ -292,22 +296,23 @@ pub fn conv2d_direct_into(image: &[f32], weight: &[f32], out: &mut [f32], geom: 
         }
     }
     #[cfg(target_arch = "x86_64")]
-    if !crate::matmul::force_scalar_kernel() && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 requirement was just checked at runtime.
+    if wide_kernels() {
+        // SAFETY: `wide_kernels` just checked for avx2 at runtime.
         unsafe {
             conv2d_direct_avx2(&padded, weight, out, geom);
         }
-        crate::scratch::give(padded);
+        scratch::give(padded);
         return;
     }
     conv2d_direct_kernel(&padded, weight, out, geom);
-    crate::scratch::give(padded);
+    scratch::give(padded);
 }
 
-/// Output columns one direct-conv accumulator block spans: one full
+/// Lanes of one accumulator vector: the output columns one direct-conv
+/// block spans, and the channel lanes of the backward kernels. One full
 /// AVX2 `f32` vector per block keeps the whole block in registers across
-/// the tap reduction.
-const DIRECT_LANES: usize = 8;
+/// the reduction.
+const LANES: usize = 8;
 
 /// [`conv2d_direct_kernel`] compiled with AVX2 enabled (never `fma`, for
 /// the same bit-identity argument as the GEMM's wide micro-kernel): the
@@ -360,7 +365,7 @@ fn direct_block<const OW: usize, const R: usize>(
 }
 
 /// Body of [`conv2d_direct_into`] over the zero-padded input. For unit
-/// stride with `W'` a whole number of [`DIRECT_LANES`] blocks, each
+/// stride with `W'` a whole number of [`LANES`] blocks, each
 /// block of output columns accumulates in registers across the whole tap
 /// loop (double-width blocks first, to amortise the weight broadcast
 /// over two vectors) and stores once. Other geometries use an
@@ -374,7 +379,7 @@ fn conv2d_direct_kernel(padded: &[f32], weight: &[f32], out: &mut [f32], geom: &
     let (ph, pw) = (geom.height + 2 * geom.pad, geom.width + 2 * geom.pad);
     let plen = geom.patch_len();
     let osp = oh * ow;
-    let fast = s == 1 && ow % DIRECT_LANES == 0;
+    let fast = s == 1 && ow % LANES == 0;
     for (o, oplane) in out.chunks_exact_mut(osp).enumerate() {
         let wrow = &weight[o * plen..][..plen];
         // Four vector accumulators per block (the same register budget
@@ -383,13 +388,13 @@ fn conv2d_direct_kernel(padded: &[f32], weight: &[f32], out: &mut [f32], geom: &
         // 16-column rows per block, vector-narrow planes four 8-column
         // rows. Adjacent output rows are contiguous in the output plane;
         // their source rows are one padded row apart.
-        if fast && ow == 2 * DIRECT_LANES && oh % 2 == 0 {
+        if fast && ow == 2 * LANES && oh % 2 == 0 {
             for oy in (0..oh).step_by(2) {
                 direct_block::<16, 2>(padded, wrow, oplane, oy, c, k, ph, pw);
             }
             continue;
         }
-        if fast && ow == DIRECT_LANES && oh % 4 == 0 {
+        if fast && ow == LANES && oh % 4 == 0 {
             for oy in (0..oh).step_by(4) {
                 direct_block::<8, 4>(padded, wrow, oplane, oy, c, k, ph, pw);
             }
@@ -401,8 +406,8 @@ fn conv2d_direct_kernel(padded: &[f32], weight: &[f32], out: &mut [f32], geom: &
                 let mut xb = 0;
                 // Double-width blocks: one weight broadcast feeds two
                 // vectors' worth of columns.
-                while xb + 2 * DIRECT_LANES <= ow {
-                    let mut acc = [0.0f32; 2 * DIRECT_LANES];
+                while xb + 2 * LANES <= ow {
+                    let mut acc = [0.0f32; 2 * LANES];
                     let mut pidx = 0usize;
                     for ch in 0..c {
                         let plane = &padded[ch * ph * pw..(ch + 1) * ph * pw];
@@ -411,18 +416,18 @@ fn conv2d_direct_kernel(padded: &[f32], weight: &[f32], out: &mut [f32], geom: &
                             for kx in 0..k {
                                 let wv = wrow[pidx];
                                 pidx += 1;
-                                let sv = &srow[xb + kx..][..2 * DIRECT_LANES];
+                                let sv = &srow[xb + kx..][..2 * LANES];
                                 for (a, &x) in acc.iter_mut().zip(sv) {
                                     *a += wv * x;
                                 }
                             }
                         }
                     }
-                    dst[xb..xb + 2 * DIRECT_LANES].copy_from_slice(&acc);
-                    xb += 2 * DIRECT_LANES;
+                    dst[xb..xb + 2 * LANES].copy_from_slice(&acc);
+                    xb += 2 * LANES;
                 }
                 while xb < ow {
-                    let mut acc = [0.0f32; DIRECT_LANES];
+                    let mut acc = [0.0f32; LANES];
                     let mut pidx = 0usize;
                     for ch in 0..c {
                         let plane = &padded[ch * ph * pw..(ch + 1) * ph * pw];
@@ -431,15 +436,15 @@ fn conv2d_direct_kernel(padded: &[f32], weight: &[f32], out: &mut [f32], geom: &
                             for kx in 0..k {
                                 let wv = wrow[pidx];
                                 pidx += 1;
-                                let sv = &srow[xb + kx..][..DIRECT_LANES];
+                                let sv = &srow[xb + kx..][..LANES];
                                 for (a, &x) in acc.iter_mut().zip(sv) {
                                     *a += wv * x;
                                 }
                             }
                         }
                     }
-                    dst[xb..xb + DIRECT_LANES].copy_from_slice(&acc);
-                    xb += DIRECT_LANES;
+                    dst[xb..xb + LANES].copy_from_slice(&acc);
+                    xb += LANES;
                 }
             } else {
                 for (ox, d) in dst.iter_mut().enumerate() {
@@ -462,26 +467,337 @@ fn conv2d_direct_kernel(padded: &[f32], weight: &[f32], out: &mut [f32], geom: &
     }
 }
 
-/// Adjoint of [`im2col`]: scatter-adds a `(out_h*out_w) × (C*K*K)` patch
-/// gradient back into a `C×H×W` image gradient buffer.
-pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Vec<f32> {
-    let mut image = vec![0.0f32; geom.in_channels * geom.height * geom.width];
-    col2im_into(cols.data(), geom, &mut image);
-    image
+/// Weight gradient of a training batch, read in place from the forward
+/// pass's cached panels: `dw += Σ_i G_i · cols_i`. `grad` holds the batch's
+/// output gradients `G_i` (rows of `O·H'·W'`, each an `O × H'W'` matrix),
+/// `panels` the batch's patch matrix as [`im2col_batch_panels_into`] wrote
+/// it ([`Conv2dGeometry::panels_len`] of the batch), and `dw` the
+/// `O × C·K·K` accumulator.
+///
+/// **Bit-identical** to one `G_i · cols_i` GEMM per image added into `dw`
+/// in image order: each image's partial `dW_i[o, t]` is one accumulator
+/// that starts from `+0.0` and adds `G_i[o, j] · cols_i[j, t]` over patches
+/// `j` ascending, the partials are computed in parallel into private slots,
+/// and the slots are added into `dw` serially in image order. Lanes run
+/// over output channels, so no lane ever reassociates. The only per-image
+/// repack is the small `H'W' × O` transpose of `G_i`: patch values are
+/// broadcast straight out of the panels, where tap `t` of a panel's
+/// [`crate::PANEL_WIDTH`] patches sits at `t·PANEL_WIDTH + lane`.
+pub fn conv2d_weight_grad_into(
+    grad: &[f32],
+    panels: &[f32],
+    geom: &Conv2dGeometry,
+    dw: &mut [f32],
+) {
+    geom.check();
+    let (osp, plen) = (geom.patch_count(), geom.patch_len());
+    assert_eq!(dw.len() % plen, 0, "weight gradient not whole O×CKK rows");
+    let oc = dw.len() / plen;
+    assert_eq!(
+        grad.len() % (oc * osp),
+        0,
+        "output gradient not whole images"
+    );
+    let n = grad.len() / (oc * osp);
+    assert_eq!(panels.len(), geom.panels_len(n), "panel buffer size");
+    eos_trace::count!("conv.wgrad.calls", 1);
+    eos_trace::hist!("conv.wgrad.flops", 2 * (n * oc * osp * plen) as u64);
+    if n == 0 {
+        return;
+    }
+    // One slot per image: its partial, tap-major (`C·K·K` rows of the
+    // output channels padded to whole vectors, so the kernel stores whole
+    // vectors), then its `Gᵀ` in the same padded rows (the padding lanes
+    // stay zero).
+    let op = oc.next_multiple_of(LANES);
+    let part_len = plen * op;
+    let slot_len = part_len + osp * op;
+    let mut slots = scratch::take_zeroed(n * slot_len);
+    par::par_chunks_mut(&mut slots, slot_len, |i, slot| {
+        let (part, gt) = slot.split_at_mut(part_len);
+        transpose_into(&grad[i * oc * osp..][..oc * osp], osp, gt, op);
+        #[cfg(target_arch = "x86_64")]
+        if wide_kernels() {
+            // SAFETY: `wide_kernels` just checked for avx2 at runtime.
+            return unsafe { weight_grad_avx2(gt, op, panels, i * osp, part) };
+        }
+        weight_grad_kernel(gt, op, panels, i * osp, part);
+    });
+    // `dw + dW_0 + dW_1 + …` element by element (the first add commutes),
+    // summed in the slots' tap-major layout, where the adds run over whole
+    // vectors, and transposed back into `dw` once.
+    let (sum, rest) = slots.split_at_mut(slot_len);
+    let sum = &mut sum[..part_len];
+    for (o, row) in dw.chunks_exact(plen).enumerate() {
+        for (s, &d) in sum.chunks_exact_mut(op).zip(row) {
+            s[o] += d;
+        }
+    }
+    for slot in rest.chunks_exact(slot_len) {
+        for (s, &v) in sum.iter_mut().zip(&slot[..part_len]) {
+            *s += v;
+        }
+    }
+    for (o, row) in dw.chunks_exact_mut(plen).enumerate() {
+        for (d, s) in row.iter_mut().zip(sum.chunks_exact(op)) {
+            *d = s[o];
+        }
+    }
+    scratch::give(slots);
 }
 
-/// [`col2im`] into a caller-owned `C×H×W` buffer (fully overwritten), so
-/// batch-parallel backward passes can scatter straight into their slice of
-/// the input-gradient matrix.
-pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) {
+/// Writes the `rows × cols` matrix `m` transposed into `out`, whose rows
+/// are `stride >= rows` wide; lanes past `rows` are left as they are.
+fn transpose_into(m: &[f32], cols: usize, out: &mut [f32], stride: usize) {
+    for (r, row) in m.chunks_exact(cols).enumerate() {
+        for (dst, &v) in out.chunks_exact_mut(stride).zip(row) {
+            dst[r] = v;
+        }
+    }
+}
+
+/// Taps per dW register block: `WGRAD_TAPS` accumulator vectors, so each
+/// patch's `Gᵀ` vector is loaded once and multiplied by that many
+/// broadcast panel values.
+const WGRAD_TAPS: usize = 8;
+
+/// [`weight_grad_kernel`] compiled with AVX2 enabled, never `fma`, for the
+/// same bit-identity argument as the GEMM's wide micro-kernel.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn weight_grad_avx2(gt: &[f32], op: usize, panels: &[f32], col0: usize, part: &mut [f32]) {
+    weight_grad_kernel(gt, op, panels, col0, part);
+}
+
+/// One image's tap-major `dW_iᵀ` (`part`, `C·K·K` rows of `op` lanes:
+/// the output channels padded to whole vectors) from its `Gᵀ` (`gt`,
+/// `H'W'` rows of `op` lanes) and its patches, global panel columns
+/// `col0..col0 + H'W'`.
+#[inline(always)]
+fn weight_grad_kernel(gt: &[f32], op: usize, panels: &[f32], col0: usize, part: &mut [f32]) {
+    let plen = part.len() / op;
+    for ob in (0..op).step_by(LANES) {
+        let mut t = 0;
+        while t + WGRAD_TAPS <= plen {
+            weight_grad_block::<WGRAD_TAPS>(gt, op, ob, panels, col0, t, part);
+            t += WGRAD_TAPS;
+        }
+        for t in t..plen {
+            weight_grad_block::<1>(gt, op, ob, panels, col0, t, part);
+        }
+    }
+}
+
+/// Taps `t0..t0 + T` × the output-channel vector at lane `ob`, held in
+/// registers over the whole ascending patch sweep and stored once.
+#[inline(always)]
+fn weight_grad_block<const T: usize>(
+    gt: &[f32],
+    op: usize,
+    ob: usize,
+    panels: &[f32],
+    col0: usize,
+    t0: usize,
+    part: &mut [f32],
+) {
+    let (nr, plen) = (PANEL_WIDTH, part.len() / op);
+    let mut acc = [[0.0f32; LANES]; T];
+    for (j, grow) in gt.chunks_exact(op).enumerate() {
+        let col = col0 + j;
+        let taps = &panels[(col / nr * plen + t0) * nr + col % nr..][..(T - 1) * nr + 1];
+        let gv: &[f32; LANES] = grow[ob..ob + LANES].try_into().unwrap();
+        for (r, a) in acc.iter_mut().enumerate() {
+            let x = taps[r * nr];
+            for (a, &g) in a.iter_mut().zip(gv) {
+                *a += g * x;
+            }
+        }
+    }
+    for (r, a) in acc.iter().enumerate() {
+        part[(t0 + r) * op + ob..][..LANES].copy_from_slice(a);
+    }
+}
+
+/// Input gradient of a training batch, computed directly:
+/// `dx_i = col2im(G_iᵀ · W)` for every image without building the
+/// patch-gradient matrix. `grad` holds the batch's output gradients (rows
+/// of `O·H'·W'`), `weight` the `O × C·K·K` kernel, and `dx` the batch's
+/// `C·H·W` rows (fully overwritten).
+///
+/// **Bit-identical** to that GEMM-then-scatter sequence. Each contribution
+/// `Σ_o G_i[o, j] · W[o, t]` is one accumulator that starts from `+0.0`
+/// and runs over `o` ascending, as the GEMM's is; each input pixel starts
+/// from `+0.0` and adds its contributions in ascending patch order `j`, as
+/// [`col2im`]'s patch-major scatter does. For one pixel, ascending `j` is
+/// kernel row `ky` descending, then kernel column `kx` descending, over
+/// the taps that land inside the image, so the kernel sweeps the taps in
+/// that order and adds each tap's contributions into a pixel-major
+/// `H·W × C` accumulator, which it then transposes into `dx`. Lanes run
+/// over input channels, so no lane ever reassociates. Images run in
+/// parallel.
+pub fn conv2d_input_grad_into(grad: &[f32], weight: &[f32], geom: &Conv2dGeometry, dx: &mut [f32]) {
+    geom.check();
+    let (c, hw) = (geom.in_channels, geom.height * geom.width);
+    let (osp, plen) = (geom.patch_count(), geom.patch_len());
+    let kk = geom.kernel * geom.kernel;
+    assert_eq!(weight.len() % plen, 0, "weight not whole O×CKK rows");
+    let oc = weight.len() / plen;
+    assert_eq!(
+        grad.len() % (oc * osp),
+        0,
+        "output gradient not whole images"
+    );
+    let n = grad.len() / (oc * osp);
+    assert_eq!(dx.len(), n * c * hw, "input gradient size mismatch");
+    // Counted as the `Gᵀ · W` GEMM it replaces.
+    eos_trace::count!("conv.dgrad.calls", 1);
+    eos_trace::hist!("conv.dgrad.flops", 2 * (n * osp * oc * plen) as u64);
+    // The kernel regrouped by tap with input channels as lanes, padded to
+    // whole vectors with zeros: `wt[(q·O + o)·cp + ch] = W[o, ch·K·K + q]`.
+    let cp = c.next_multiple_of(LANES);
+    let mut wt = scratch::take_zeroed(kk * oc * cp);
+    for (o, wrow) in weight.chunks_exact(plen).enumerate() {
+        for (ch, taps) in wrow.chunks_exact(kk).enumerate() {
+            for (q, &v) in taps.iter().enumerate() {
+                wt[(q * oc + o) * cp + ch] = v;
+            }
+        }
+    }
+    // One slot per image: its `Gᵀ`, then its zeroed pixel accumulator.
+    let slot_len = osp * oc + hw * cp;
+    let mut slots = scratch::take_zeroed(n * slot_len);
+    par::par_chunks_mut2(dx, c * hw, &mut slots, slot_len, |i, dxrow, slot| {
+        let (gt, acc) = slot.split_at_mut(osp * oc);
+        transpose_into(&grad[i * oc * osp..][..oc * osp], osp, gt, oc);
+        input_grad_dispatch(gt, &wt, geom, acc);
+        for (ch, plane) in dxrow.chunks_exact_mut(hw).enumerate() {
+            for (d, px) in plane.iter_mut().zip(acc.chunks_exact(cp)) {
+                *d = px[ch];
+            }
+        }
+    });
+    scratch::give(slots);
+    scratch::give(wt);
+}
+
+/// Runs the widest bit-identical [`input_grad_kernel`] the CPU supports.
+fn input_grad_dispatch(gt: &[f32], wt: &[f32], geom: &Conv2dGeometry, acc: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if wide_kernels() {
+        // SAFETY: `wide_kernels` just checked for avx2 at runtime.
+        return unsafe { input_grad_avx2(gt, wt, geom, acc) };
+    }
+    input_grad_kernel(gt, wt, geom, acc);
+}
+
+/// [`input_grad_kernel`] compiled with AVX2 enabled, never `fma`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn input_grad_avx2(gt: &[f32], wt: &[f32], geom: &Conv2dGeometry, acc: &mut [f32]) {
+    input_grad_kernel(gt, wt, geom, acc);
+}
+
+/// One image's pixel-major input gradient (`acc`, `H·W` rows of whole
+/// channel vectors, zeroed by the caller) from its `Gᵀ` (`gt`, `H'W' × O`)
+/// and the tap-regrouped kernel `wt`. Taps run `ky` then `kx` descending;
+/// for each, the output positions whose tap lands inside the image form a
+/// rectangle, swept row by row in register blocks of patches.
+#[inline(always)]
+fn input_grad_kernel(gt: &[f32], wt: &[f32], geom: &Conv2dGeometry, acc: &mut [f32]) {
+    let (h, w) = (geom.height, geom.width);
+    let (oh, ow) = (geom.out_height(), geom.out_width());
+    let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
+    let cp = acc.len() / (h * w);
+    let oc = gt.len() / (oh * ow);
+    // Valid output indices for a kernel offset `kk` along an axis of
+    // `len` inputs and `olen` outputs: `0 <= o·s + kk - p < len`.
+    let span = |kk: usize, len: usize, olen: usize| {
+        (kk < len + p).then(|| {
+            (
+                p.saturating_sub(kk).div_ceil(s),
+                ((len - 1 + p - kk) / s).min(olen - 1),
+            )
+        })
+    };
+    for ky in (0..k).rev() {
+        let Some((ylo, yhi)) = span(ky, h, oh) else {
+            continue;
+        };
+        for kx in (0..k).rev() {
+            let Some((xlo, xhi)) = span(kx, w, ow) else {
+                continue;
+            };
+            let wk = &wt[(ky * k + kx) * oc * cp..][..oc * cp];
+            for oy in ylo..=yhi {
+                let iy = oy * s + ky - p;
+                // Patch `oy·W' + ox` lands on pixel `iy·W + ox·s + kx - p`.
+                let at = |ox: usize| (oy * ow + ox, iy * w + ox * s + kx - p);
+                for cb in (0..cp).step_by(LANES) {
+                    let mut ox = xlo;
+                    while ox + 4 <= xhi + 1 {
+                        input_grad_block::<4>(gt, wk, cb, at(ox), s, acc, cp);
+                        ox += 4;
+                    }
+                    if ox + 2 <= xhi + 1 {
+                        input_grad_block::<2>(gt, wk, cb, at(ox), s, acc, cp);
+                        ox += 2;
+                    }
+                    if ox <= xhi {
+                        input_grad_block::<1>(gt, wk, cb, at(ox), s, acc, cp);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `R` consecutive patches from `(j0, px0)` (patch, pixel) × the input
+/// channel vector at lane `cb`: each patch's contribution
+/// `Σ_o Gᵀ[j, o] · wk[o, cb..]` accumulates in registers from `+0.0` over
+/// `o` ascending, then adds into its pixel in `acc` (rows of `cp` lanes;
+/// consecutive patches land `s` pixels apart).
+#[inline(always)]
+fn input_grad_block<const R: usize>(
+    gt: &[f32],
+    wk: &[f32],
+    cb: usize,
+    (j0, px0): (usize, usize),
+    s: usize,
+    acc: &mut [f32],
+    cp: usize,
+) {
+    let oc = wk.len() / cp;
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &gt[(j0 + r) * oc..][..oc]);
+    let mut sum = [[0.0f32; LANES]; R];
+    for (o, wrow) in wk.chunks_exact(cp).enumerate() {
+        let wv: &[f32; LANES] = wrow[cb..cb + LANES].try_into().unwrap();
+        for (sr, row) in sum.iter_mut().zip(&rows) {
+            let g = row[o];
+            for (a, &wl) in sr.iter_mut().zip(wv) {
+                *a += g * wl;
+            }
+        }
+    }
+    for (r, sr) in sum.iter().enumerate() {
+        let dst = &mut acc[(px0 + r * s) * cp + cb..][..LANES];
+        for (d, &v) in dst.iter_mut().zip(sr) {
+            *d += v;
+        }
+    }
+}
+
+/// Adjoint of [`im2col`]: scatter-adds a `(out_h*out_w) × (C*K*K)` patch
+/// gradient back into a `C×H×W` image gradient, patch by patch in
+/// ascending order. The reference [`conv2d_input_grad_into`] is tested
+/// against.
+pub fn col2im(cols: &Tensor, geom: &Conv2dGeometry) -> Vec<f32> {
     geom.check();
     let (c, h, w) = (geom.in_channels, geom.height, geom.width);
     let (oh, ow) = (geom.out_height(), geom.out_width());
-    assert_eq!(cols.len(), oh * ow * geom.patch_len(), "cols size mismatch");
-    assert_eq!(image.len(), c * h * w, "image buffer size mismatch");
+    let data = cols.data();
+    assert_eq!(data.len(), oh * ow * geom.patch_len(), "cols size mismatch");
     let (k, s, p) = (geom.kernel, geom.stride, geom.pad);
-    let data = cols;
-    image.fill(0.0);
+    let mut image = vec![0.0f32; c * h * w];
     let mut row = 0usize;
     for oy in 0..oh {
         for ox in 0..ow {
@@ -509,8 +825,8 @@ pub fn col2im_into(cols: &[f32], geom: &Conv2dGeometry, image: &mut [f32]) {
             row += 1;
         }
     }
+    image
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,6 +1060,106 @@ mod tests {
                         a.to_bits(),
                         b.to_bits(),
                         "{g:?} force_scalar={force_scalar}: element {i}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Geometries for the backward kernels: channel counts that are and
+    /// are not whole vectors, odd planes, stride 2, 1×1 and big kernels.
+    fn backward_geometries() -> Vec<(Conv2dGeometry, usize)> {
+        vec![
+            (geom(3, 8, 8, 3, 1, 1), 8),   // the stem: 3 input channels
+            (geom(4, 8, 8, 3, 1, 1), 4),   // 4-channel layers
+            (geom(12, 7, 7, 3, 2, 1), 3),  // odd plane, stride 2
+            (geom(8, 8, 8, 1, 2, 0), 12),  // 1×1 stride-2 projection
+            (geom(3, 7, 7, 1, 2, 0), 4),   // 1×1 stride 2 on an odd plane
+            (geom(16, 4, 4, 3, 2, 1), 32), // 2×2 output: images share panels
+            (geom(2, 9, 9, 5, 1, 2), 9),   // big kernel, heavy clipping
+            (geom(2, 4, 4, 3, 3, 1), 5),   // stride larger than the reach
+        ]
+    }
+
+    /// Output gradients with `+0.0` and `-0.0` sprinkled in and one image
+    /// of all `-0.0`, so a sum that does not start from `+0.0` shows.
+    fn test_grads(n: usize, len: usize) -> Vec<f32> {
+        (0..n * len)
+            .map(|i| match (i / len, i % 5) {
+                (1, _) => -0.0,
+                (_, 0) => 0.0,
+                (_, 1) => -0.0,
+                _ => (i as f32 * 0.17).cos(),
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn weight_grad_matches_per_image_im2col_matmul() {
+        // `dw += Σ_i G_i · im2col(x_i)`, the partials added in image
+        // order, bit for bit, onto a non-zero accumulator.
+        for (g, oc) in backward_geometries() {
+            let (osp, plen) = (g.patch_count(), g.patch_len());
+            for n in [1, 3, 5] {
+                let images = test_images(n, &g);
+                let ilen = images.len() / n;
+                let mut panels = vec![0.0f32; g.panels_len(n)];
+                im2col_batch_panels_into(&images, &g, &mut panels);
+                let grad = test_grads(n, oc * osp);
+                let init: Vec<f32> = (0..oc * plen).map(|i| (i as f32 * 0.7).sin()).collect();
+                let mut want = init.clone();
+                for i in 0..n {
+                    let gi =
+                        Tensor::from_vec(grad[i * oc * osp..][..oc * osp].to_vec(), &[oc, osp]);
+                    let part = gi.matmul(&im2col(&images[i * ilen..][..ilen], &g));
+                    for (w, &v) in want.iter_mut().zip(part.data()) {
+                        *w += v;
+                    }
+                }
+                for force_scalar in [false, true] {
+                    crate::matmul::set_force_scalar_kernel(force_scalar);
+                    let mut got = init.clone();
+                    conv2d_weight_grad_into(&grad, &panels, &g, &mut got);
+                    crate::matmul::set_force_scalar_kernel(false);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{g:?} O={oc} batch {n} scalar {force_scalar}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn input_grad_matches_matmul_tn_then_col2im() {
+        // `dx_i = col2im(G_iᵀ · W)` bit for bit, into a stale buffer.
+        for (g, oc) in backward_geometries() {
+            let (osp, plen) = (g.patch_count(), g.patch_len());
+            let ilen = g.in_channels * g.height * g.width;
+            let w: Vec<f32> = (0..oc * plen).map(|i| (i as f32 * 0.53).cos()).collect();
+            let wt = Tensor::from_vec(w.clone(), &[oc, plen]);
+            for n in [1, 3, 5] {
+                let grad = test_grads(n, oc * osp);
+                let mut want = Vec::new();
+                for i in 0..n {
+                    let gi =
+                        Tensor::from_vec(grad[i * oc * osp..][..oc * osp].to_vec(), &[oc, osp]);
+                    want.extend(col2im(&gi.matmul_tn(&wt), &g));
+                }
+                for force_scalar in [false, true] {
+                    crate::matmul::set_force_scalar_kernel(force_scalar);
+                    let mut got = vec![f32::NAN; n * ilen];
+                    conv2d_input_grad_into(&grad, &w, &g, &mut got);
+                    crate::matmul::set_force_scalar_kernel(false);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{g:?} O={oc} batch {n} scalar {force_scalar}"
                     );
                 }
             }

@@ -9,7 +9,7 @@
 //! * construction and seeded random initialisation ([`init`]),
 //! * element-wise and broadcasting arithmetic ([`Tensor`] methods),
 //! * blocked matrix multiplication ([`matmul`]),
-//! * `im2col`/`col2im` lowering for convolutions ([`conv`]),
+//! * convolution lowering and backward kernels ([`conv`]),
 //! * axis reductions ([`reduce`]),
 //! * finite-difference gradient checking ([`gradcheck`]),
 //! * a zero-dependency data-parallel execution layer ([`par`]) that the
@@ -38,14 +38,11 @@ mod shape;
 mod tensor;
 
 pub use conv::{
-    col2im, col2im_into, conv2d_direct_into, im2col, im2col_batch_panels_into, im2col_into,
-    Conv2dGeometry,
+    col2im, conv2d_direct_into, conv2d_input_grad_into, conv2d_weight_grad_into, im2col,
+    im2col_batch_panels_into, im2col_into, Conv2dGeometry,
 };
 pub use gradcheck::{central_difference, max_abs_diff, rel_error};
 pub use init::{kaiming_uniform, normal, uniform, Rng64};
-pub use matmul::{
-    gemm_nt_into, gemm_nt_panels_into, gemm_prepacked_into, gemm_tn_batch_into,
-    set_force_scalar_kernel, PANEL_WIDTH,
-};
+pub use matmul::{gemm_nt_into, gemm_prepacked_into, set_force_scalar_kernel, PANEL_WIDTH};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -260,12 +260,17 @@ pub fn set_force_scalar_kernel(on: bool) {
     FORCE_SCALAR_KERNEL.store(on, Ordering::Relaxed);
 }
 
-/// Whether [`set_force_scalar_kernel`] is currently forcing the portable
-/// kernels. Shared with the direct convolution's dispatch so the
-/// verification harness exercises every wide/portable pair with one
+/// Whether the wide (AVX2) kernels run: the CPU has them and
+/// [`set_force_scalar_kernel`] is not forcing the portable ones. Shared by
+/// every wide/portable pair (GEMM tile, direct convolution, convolution
+/// backward) so the verification harness flips all of them with one
 /// toggle.
-pub(crate) fn force_scalar_kernel() -> bool {
-    FORCE_SCALAR_KERNEL.load(Ordering::Relaxed)
+pub(crate) fn wide_kernels() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return !FORCE_SCALAR_KERNEL.load(Ordering::Relaxed)
+        && std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// Records one GEMM call: total count, which micro-kernel the per-tile
@@ -279,12 +284,7 @@ fn trace_gemm(m: usize, k: usize, n: usize) {
         return;
     }
     eos_trace::count!("gemm.calls", 1);
-    #[cfg(target_arch = "x86_64")]
-    let wide =
-        !FORCE_SCALAR_KERNEL.load(Ordering::Relaxed) && std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let wide = false;
-    if wide {
+    if wide_kernels() {
         eos_trace::count!("gemm.dispatch.avx2", 1);
     } else {
         eos_trace::count!("gemm.dispatch.scalar", 1);
@@ -308,8 +308,8 @@ fn tile_kernel_dispatch(
     jp1: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if !FORCE_SCALAR_KERNEL.load(Ordering::Relaxed) && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 requirement was just checked at runtime.
+    if wide_kernels() {
+        // SAFETY: `wide_kernels` just checked for avx2 at runtime.
         unsafe {
             return tile_kernel_avx2(apack, packed_b, rows, it, h, k, n, jp0, jp1);
         }
@@ -377,8 +377,9 @@ impl Tensor {
         let (m, k) = (self.dim(0), self.dim(1));
         let (m2, n) = (other.dim(0), other.dim(1));
         assert_eq!(m, m2, "inner dimension mismatch: {m} vs {m2}");
+        let (a, b) = (self.data(), other.data());
         let mut out = scratch::take_zeroed(k * n);
-        gemm_tn_batch_into(self.data(), other.data(), &mut out, 1, m, k, n);
+        par_gemm(&|i, p| a[p * k + i], |p, j| b[p * n + j], &mut out, m, n);
         Tensor::from_vec(out, &[k, n])
     }
 
@@ -449,67 +450,6 @@ pub fn gemm_prepacked_into(a: &[f32], packed_b: &[f32], out: &mut [f32], k: usiz
     par::par_chunks_mut(out, chunk * n, |ci, rows| {
         packed_gemm_rows(&|i, p| a[i * k + p], packed_b, rows, ci * chunk, k, n);
     });
-}
-
-/// `out = a (m×k) · Pᵀ` where `P` is the `n × k` block of columns
-/// `col0..col0 + k` of a panel-packed matrix with `n` rows (the layout
-/// [`gemm_prepacked_into`] reads, e.g. written by
-/// [`crate::im2col_batch_panels_into`]), serial, into a caller-owned
-/// `m×n` buffer. The columns may straddle panels.
-///
-/// This is the convolution's weight gradient `dW_i = G_i · cols_i` read
-/// straight from the forward pass's cached panels: bit-identical to
-/// [`Tensor::matmul`] against image `i`'s row-major patch matrix, since
-/// the packer sees the same values in the same order either way.
-pub fn gemm_nt_panels_into(
-    a: &[f32],
-    panels: &[f32],
-    col0: usize,
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(out.len() % n.max(1), 0, "output not a whole number of rows");
-    assert_eq!(a.len(), (out.len() / n.max(1)) * k, "lhs size mismatch");
-    assert!(
-        (col0 + k).next_multiple_of(NR) * n <= panels.len(),
-        "columns past the panels"
-    );
-    trace_gemm(out.len() / n.max(1), k, n);
-    out.fill(0.0);
-    let at = |j: usize, p: usize| {
-        let c = col0 + j;
-        panels[(c / NR) * n * NR + p * NR + c % NR]
-    };
-    let packed_b = pack_b(at, k, n);
-    packed_gemm_rows(&|i, p| a[i * k + p], &packed_b, out, 0, k, n);
-    scratch::give(packed_b);
-}
-
-/// `out = [a_0ᵀ; a_1ᵀ; …] · b`: `a` holds `batch` row-major `m×k`
-/// matrices back to back, `b` is `m×n`, and `out` stacks the `batch`
-/// products `a_iᵀ (k×m) · b` into `(batch·k) × n`. One wide GEMM packs
-/// `b` once and fans its rows out across the pool.
-///
-/// Every output row is its own accumulation over `m` ascending, so row
-/// block `i` is bit-identical to [`Tensor::matmul_tn`] of `a_i` alone —
-/// this is the convolution's input gradient `dcols = Gᵀ · W` for a whole
-/// batch in one call.
-pub fn gemm_tn_batch_into(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    batch: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(out.len(), batch * k * n, "output size mismatch");
-    assert_eq!(a.len(), batch * m * k, "lhs size mismatch");
-    assert_eq!(b.len(), m * n, "rhs size mismatch");
-    out.fill(0.0);
-    let a_at = |r: usize, i: usize| a[(r / k) * m * k + i * k + r % k];
-    par_gemm(&a_at, |i, j| b[i * n + j], out, m, n);
 }
 
 /// `rows = a[row0.., :] · v` for a chunk of output rows, `MR` rows register
@@ -736,46 +676,6 @@ mod tests {
         let mut out = vec![f32::NAN; 5 * 6];
         gemm_nt_into(a.data(), bt.data(), &mut out, 7, 6);
         assert_eq!(out, a.matmul_nt(&bt).data());
-        // Panel-packed `b`ᵀ with its columns starting mid-panel, so they
-        // straddle a panel boundary.
-        let col0 = 5;
-        let panels = pack_b(
-            |p, c| {
-                if c >= col0 {
-                    bt.at(&[p, c - col0])
-                } else {
-                    0.0
-                }
-            },
-            6,
-            col0 + 7,
-        );
-        let mut out_p = vec![f32::NAN; 5 * 6];
-        gemm_nt_panels_into(a.data(), &panels, col0, &mut out_p, 7, 6);
-        scratch::give(panels);
-        assert_eq!(out_p, a.matmul_nt(&bt).data());
-    }
-
-    #[test]
-    fn batched_tn_matches_per_matrix_matmul_tn() {
-        // Each stacked block must be bit-identical to its own matmul_tn,
-        // at a batch wide enough to cross the parallel threshold.
-        let (batch, m, k, n) = (40usize, 8usize, 9usize, 72usize);
-        let a = seq(&[batch * m, k]);
-        let b = seq(&[m, n]);
-        let mut out = vec![f32::NAN; batch * k * n];
-        gemm_tn_batch_into(a.data(), b.data(), &mut out, batch, m, k, n);
-        for i in 0..batch {
-            let ai = Tensor::from_vec(a.data()[i * m * k..(i + 1) * m * k].to_vec(), &[m, k]);
-            let want = ai.matmul_tn(&b);
-            let got = &out[i * k * n..(i + 1) * k * n];
-            assert!(
-                got.iter()
-                    .zip(want.data())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "block {i}"
-            );
-        }
     }
 
     #[test]
